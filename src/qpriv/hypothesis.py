@@ -4,7 +4,7 @@ Binary discrimination of two states with priors (p, q = 1 - p): the optimal
 n-copy Bayesian error is evaluated exactly, either densely on tensor powers
 or through a classical fast path when the states commute, and the sample
 complexity is the smallest n driving that error below a target alpha.
-Alongside the exact scans, this module evaluates every closed-form bound
+Alongside the exact searches, this module evaluates every closed-form bound
 family for the private and non-private settings.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.special import gammaln
@@ -32,11 +31,13 @@ from .errors import (
 from .privacy import PrivacyParams, SearchBudget, certify
 from .quantum_core import (
     EPS_REG,
+    MAX_DENSE_DIM,
     DensityMatrix,
     KrausChannel,
     Povm,
     hermitian_part,
     matrix_geometric_mean,
+    tensor_power,
 )
 
 TOL_DENOM = 1e-8
@@ -49,7 +50,6 @@ COMMUTE_TOL = 1e-10
 TOL_EIG = 1e-8
 
 N_MAX_FAST = 100_000
-MAX_DENSE_DIM = 4096
 _COMBO_BUDGET = 2_000_000
 
 METHOD_DENSE = "dense"
@@ -82,12 +82,17 @@ class HypothesisInstance:
 
 @dataclass(frozen=True)
 class SampleComplexityResult:
-    """Exact value (when computed) and lower/upper bounds for one instance."""
+    """Exact value (when computed) and lower/upper bounds for one instance.
+
+    ``evaluations`` counts the n-copy errors P_e(n) that the exact search
+    computed; it is 0 for the closed-form bound families.
+    """
 
     lower: float
     upper: float
     method: str
     exact: int | None = None
+    evaluations: int = 0
 
     def __post_init__(self) -> None:
         if self.lower > self.upper + 1e-12:
@@ -122,6 +127,29 @@ def _simultaneous_diagonalization(rho_m: np.ndarray, sigma_m: np.ndarray):
     return p / p.sum(), q / q.sum()
 
 
+def _count_vectors(n: int, d: int) -> np.ndarray:
+    """Every outcome-count vector of n draws from d outcomes, one float row each.
+
+    The rows come in the order of ``combinations_with_replacement(range(d), n)``:
+    the first count descending, then the remaining counts ordered the same way.
+    Each pass splits every prefix with r draws left into r + 1 children whose
+    next count runs r, r - 1, ..., 0.
+    """
+    counts = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([n], dtype=np.int64)
+    for _ in range(d - 1):
+        sizes = left + 1
+        parent = np.repeat(np.arange(left.size), sizes)
+        child_left = np.arange(parent.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        counts = np.column_stack((counts[parent], left[parent] - child_left))
+        left = child_left
+    return np.column_stack((counts, left)).astype(float)
+
+
+def _combo_count(n: int, d: int) -> int:
+    return math.comb(n + d - 1, d - 1)
+
+
 def _pe_classical(p_out: np.ndarray, q_out: np.ndarray, p: float, q: float, n: int) -> float:
     """n-copy Helstrom error for commuting states via outcome-count enumeration."""
     d = p_out.shape[0]
@@ -133,16 +161,12 @@ def _pe_classical(p_out: np.ndarray, q_out: np.ndarray, p: float, q: float, n: i
         log_binom = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
         counts = np.stack([n - k, k], axis=1)
     else:
-        n_combos = math.comb(n + d - 1, d - 1)
+        n_combos = _combo_count(n, d)
         if n_combos > _COMBO_BUDGET:
             raise DimensionBudgetExceeded(
                 f"{n_combos} outcome-count vectors exceed the enumeration budget"
             )
-        combos = combinations_with_replacement(range(d), n)
-        counts = np.zeros((n_combos, d), dtype=float)
-        for row, combo in enumerate(combos):
-            for outcome in combo:
-                counts[row, outcome] += 1.0
+        counts = _count_vectors(n, d)
         log_binom = gammaln(n + 1.0) - gammaln(counts + 1.0).sum(axis=1)
     with np.errstate(invalid="ignore"):
         log_p_mass = np.where(counts > 0, counts * lp[None, :], 0.0).sum(axis=1)
@@ -153,17 +177,9 @@ def _pe_classical(p_out: np.ndarray, q_out: np.ndarray, p: float, q: float, n: i
     return max(0.5 * (1.0 - tv), 0.0)
 
 
-def _pe_dense(rho_m: np.ndarray, sigma_m: np.ndarray, p: float, q: float, n: int) -> float:
-    dim = rho_m.shape[0]
-    if dim**n > MAX_DENSE_DIM:
-        raise DimensionBudgetExceeded(
-            f"dim {dim}^{n} exceeds the dense budget {MAX_DENSE_DIM}"
-        )
-    rp, sp = rho_m, sigma_m
-    for _ in range(n - 1):
-        rp = np.kron(rp, rho_m)
-        sp = np.kron(sp, sigma_m)
-    nuc = float(np.sum(np.abs(np.linalg.eigvalsh(hermitian_part(p * rp - q * sp)))))
+def _pe_dense(rho: DensityMatrix, sigma: DensityMatrix, p: float, q: float, n: int) -> float:
+    m = p * tensor_power(rho, n).entries - q * tensor_power(sigma, n).entries
+    nuc = float(np.sum(np.abs(np.linalg.eigvalsh(hermitian_part(m)))))
     return max(0.5 * (1.0 - nuc), 0.0)
 
 
@@ -185,39 +201,103 @@ def helstrom_error_n(inst: HypothesisInstance, n: int, method: str = "auto") -> 
             return _pe_classical(*decomp, inst.prior_p, inst.prior_q, n)
         if method == METHOD_CLASSICAL:
             raise DimensionBudgetExceeded("states do not commute; no classical path")
-    return _pe_dense(rho_m, sigma_m, inst.prior_p, inst.prior_q, n)
+    return _pe_dense(inst.rho, inst.sigma, inst.prior_p, inst.prior_q, n)
+
+
+def _linear_search(done, limit: int) -> int | None:
+    """Smallest n in [1, limit] with done(n), by scanning n = 1, 2, ..."""
+    for n in range(1, limit + 1):
+        if done(n):
+            return n
+    return None
+
+
+def _galloping_search(done, limit: int) -> int | None:
+    """Smallest n in [1, limit] with done(n), for a done that stays true once true.
+
+    Probes n = 1, 2, 4, ... (the last probe clamped to ``limit``) until done
+    holds, then bisects the final doubling step, keeping done(hi) and not
+    done(lo).
+    """
+    if limit < 1:
+        return None
+    lo, hi = 0, 1
+    while not done(hi):
+        if hi == limit:
+            return None
+        lo, hi = hi, min(2 * hi, limit)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if done(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def exact_sample_complexity(
     inst: HypothesisInstance, n_max: int | None = None
 ) -> SampleComplexityResult:
-    """Smallest n with n-copy error at most alpha, by scan with early exit.
+    """Smallest n with n-copy error at most alpha.
+
+    Commuting states take a galloping search: doubling, then bisection. It is
+    exact because P_e(n) cannot increase with n (extra copies can be
+    discarded), and it costs O(log n) evaluations. Non-commuting states scan
+    n = 1, 2, ... instead, because each dense evaluation costs several times
+    the previous one and an overshoot past the answer would dominate.
 
     Returns a bounds-only result (lower = n_max + 1) when the target is not
-    reached within the scan budget.
+    reached within the search budget. Raises ``DimensionBudgetExceeded`` when
+    the target lies beyond the outcome-count enumeration budget of a
+    commuting pair with three or more outcomes.
     """
     if trace_distance(inst.rho, inst.sigma) <= TOL_DENOM:
         raise Unbounded("identical hypotheses can never be distinguished")
-    rho_m, sigma_m = inst.rho.entries, inst.sigma.entries
-    decomp = _simultaneous_diagonalization(rho_m, sigma_m)
+    decomp = _simultaneous_diagonalization(inst.rho.entries, inst.sigma.entries)
     if decomp is not None:
         method = METHOD_CLASSICAL
         cap = N_MAX_FAST if n_max is None else int(n_max)
+        d = inst.rho.dim
+        # Probes stop at the last n whose count table fits the budget, so a
+        # doubling step past the answer never raises.
+        over = None
+        if d > 2:
+            over = _galloping_search(lambda n: _combo_count(n, d) > _COMBO_BUDGET, cap)
+        limit = cap if over is None else over - 1
+        search = _galloping_search
         pe = lambda n: _pe_classical(*decomp, inst.prior_p, inst.prior_q, n)
     else:
         method = METHOD_DENSE
         dense_cap = 1
         while inst.rho.dim ** (dense_cap + 1) <= MAX_DENSE_DIM:
             dense_cap += 1
-        cap = dense_cap if n_max is None else min(int(n_max), dense_cap)
-        pe = lambda n: _pe_dense(rho_m, sigma_m, inst.prior_p, inst.prior_q, n)
-    for n in range(1, cap + 1):
-        if pe(n) <= inst.alpha:
-            return SampleComplexityResult(
-                lower=float(n), upper=float(n), method=method, exact=n
-            )
+        cap = limit = dense_cap if n_max is None else min(int(n_max), dense_cap)
+        search = _linear_search
+        pe = lambda n: _pe_dense(inst.rho, inst.sigma, inst.prior_p, inst.prior_q, n)
+    evaluations = 0
+
+    def reached(n: int) -> bool:
+        nonlocal evaluations
+        evaluations += 1
+        return pe(n) <= inst.alpha
+
+    n = search(reached, limit)
+    if n is not None:
+        return SampleComplexityResult(
+            lower=float(n), upper=float(n), method=method, exact=n, evaluations=evaluations
+        )
+    if limit < cap:
+        raise DimensionBudgetExceeded(
+            f"alpha is not reached within {limit} copies, and "
+            f"{_combo_count(limit + 1, inst.rho.dim)} outcome-count vectors "
+            "exceed the enumeration budget"
+        )
     return SampleComplexityResult(
-        lower=float(cap + 1), upper=math.inf, method=METHOD_BOUNDS, exact=None
+        lower=float(cap + 1),
+        upper=math.inf,
+        method=METHOD_BOUNDS,
+        exact=None,
+        evaluations=evaluations,
     )
 
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import binom
 
 from qpriv import divergences as dv
@@ -34,6 +35,77 @@ def optimal_projector(rho, sigma):
 def mechanism_instance(rho, sigma, eps, p=0.5, alpha=0.1):
     mech = privacy.build_qldp_mechanism(optimal_projector(rho, sigma), eps)
     return hyp.HypothesisInstance(qc.apply(mech, rho), qc.apply(mech, sigma), p, alpha)
+
+
+def commuting_instances(dim, count, seed):
+    """Commuting pairs in a random basis; alpha sits on P_e(target) or between
+    P_e(target) and P_e(target - 1), so ties with alpha are covered."""
+    rng = np.random.default_rng(seed)
+    instances = []
+    while len(instances) < count:
+        u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        p = rng.dirichlet(np.ones(dim))
+        q = 0.4 * p + 0.6 * rng.dirichlet(np.ones(dim))
+        rho = qc.DensityMatrix(u @ np.diag(p) @ u.conj().T)
+        sigma = qc.DensityMatrix(u @ np.diag(q) @ u.conj().T)
+        prior = rng.uniform(0.3, 0.7)
+        probe = hyp.HypothesisInstance(rho, sigma, prior, 0.01)
+        target = int(rng.integers(2, 40))
+        alpha = hyp.helstrom_error_n(probe, target)
+        if len(instances) % 2:
+            alpha += 0.5 * (hyp.helstrom_error_n(probe, target - 1) - alpha)
+        if 0.0 < alpha < prior * (1.0 - prior):
+            instances.append(hyp.HypothesisInstance(rho, sigma, prior, alpha))
+    return instances
+
+
+def linear_scan(inst, n_max=None):
+    """Reference search: P_e(n) for n = 1, 2, ... until it reaches alpha."""
+    cap = hyp.N_MAX_FAST if n_max is None else n_max
+    for n in range(1, cap + 1):
+        if hyp.helstrom_error_n(inst, n) <= inst.alpha:
+            return n
+    return None
+
+
+def searched(inst, n_max=None):
+    result = hyp.exact_sample_complexity(inst, n_max)
+    if result.exact is None:
+        cap = hyp.N_MAX_FAST if n_max is None else n_max
+        assert (result.method, result.lower) == ("bounds_only", cap + 1.0)
+    return result.exact
+
+
+def search_outcome(search, inst, n_max):
+    try:
+        return search(inst, n_max)
+    except errors.DimensionBudgetExceeded:
+        return "budget"
+
+
+def loop_count_rows(n, d):
+    """Outcome-count rows built by the loop over combinations_with_replacement."""
+    combos = list(itertools.combinations_with_replacement(range(d), n))
+    counts = np.zeros((len(combos), d), dtype=float)
+    for row, combo in enumerate(combos):
+        for outcome in combo:
+            counts[row, outcome] += 1.0
+    return counts
+
+
+def loop_pe_classical(p_out, q_out, p, q, n):
+    """n-copy Helstrom error of a commuting pair with d >= 3 outcomes, from the loop rows."""
+    with np.errstate(divide="ignore"):
+        lp = np.log(p_out)
+        lq = np.log(q_out)
+    counts = loop_count_rows(n, p_out.shape[0])
+    log_binom = gammaln(n + 1.0) - gammaln(counts + 1.0).sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        log_p_mass = np.where(counts > 0, counts * lp[None, :], 0.0).sum(axis=1)
+        log_q_mass = np.where(counts > 0, counts * lq[None, :], 0.0).sum(axis=1)
+    a = p * np.exp(log_binom + log_p_mass)
+    b = q * np.exp(log_binom + log_q_mass)
+    return max(0.5 * (1.0 - float(np.sum(np.abs(a - b)))), 0.0)
 
 
 class TestHelstromError:
@@ -134,6 +206,59 @@ class TestExactSampleComplexity:
         assert result.method == "bounds_only"
         assert result.lower == 3.0
         assert math.isinf(result.upper)
+        assert result.evaluations == 2
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_galloping_matches_linear_scan(self, dim):
+        for inst in commuting_instances(dim, 12, seed=10 + dim):
+            answer = linear_scan(inst)
+            assert answer is not None
+            for n_max in (None, 0, 1, answer - 1, answer):
+                assert searched(inst, n_max) == linear_scan(inst, n_max)
+
+    def test_galloping_matches_linear_scan_at_the_enumeration_budget(self, monkeypatch):
+        instances = commuting_instances(3, 12, seed=21)
+        # 105 count vectors for 13 qutrit copies: n = 12 is the last that fits.
+        monkeypatch.setattr(hyp, "_COMBO_BUDGET", 100)
+        seen = set()
+        for inst in instances:
+            for n_max in (None, 0, 1, 12, 13, 40):
+                expected = search_outcome(linear_scan, inst, n_max)
+                assert search_outcome(searched, inst, n_max) == expected
+                seen.add(expected == "budget")
+        assert seen == {True, False}
+
+    def test_evaluation_counts(self):
+        classical = mechanism_instance(E0, E1, 0.2, alpha=0.01)
+        result = hyp.exact_sample_complexity(classical)
+        assert result.method == "classical_fastpath" and result.exact > 100
+        assert result.evaluations <= 2 * math.ceil(math.log2(result.exact)) + 1
+        rng = np.random.default_rng(4)
+        rho = qc.random_density_matrix(2, seed=rng)
+        sigma = qc.random_density_matrix(2, seed=rng)
+        dense = hyp.exact_sample_complexity(hyp.HypothesisInstance(rho, sigma, 0.5, 0.2))
+        assert dense.method == "dense" and dense.evaluations == dense.exact
+        assert hyp.orthogonal_sc_bounds(0.5, 0.5, 0.1).evaluations == 0
+
+
+class TestOutcomeCounts:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_rows_follow_combinations_with_replacement(self, dim):
+        for n in (1, 2, 3, 7, 12):
+            rows = hyp._count_vectors(n, dim)
+            assert rows.dtype == np.float64
+            np.testing.assert_array_equal(rows, loop_count_rows(n, dim))
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_pe_bit_identical_to_loop_rows(self, dim):
+        rng = np.random.default_rng(dim)
+        for n in (1, 2, 5, 11):
+            p_out = rng.dirichlet(np.ones(dim))
+            q_out = rng.dirichlet(np.ones(dim))
+            q_out[-1] = 0.0  # a zero outcome exercises the log(0) branch
+            q_out /= q_out.sum()
+            fast = hyp._pe_classical(p_out, q_out, 0.4, 0.6, n)
+            assert fast == loop_pe_classical(p_out, q_out, 0.4, 0.6, n)
 
 
 class TestNonprivateBounds:
