@@ -39,6 +39,10 @@ _EPS_DELTA_GRID = tuple(
 )
 
 
+class _ParseError(Exception):
+    """Input that cannot be read in the expected format (exit code 2)."""
+
+
 @dataclass
 class RunConfig:
     """Driver configuration; flags override JSON config file entries."""
@@ -54,10 +58,16 @@ class RunConfig:
         cfg = cls()
         if getattr(args, "config", None):
             with open(args.config, encoding="utf-8") as fh:
-                raw = json.load(fh)
-            cfg.seed = int(raw.get("seed", cfg.seed))
-            cfg.trials = int(raw.get("trials", cfg.trials))
-            cfg.tolerances = dict(raw.get("tolerances", {}))
+                try:
+                    raw = json.load(fh)
+                    cfg.seed = int(raw.get("seed", cfg.seed))
+                    cfg.trials = int(raw.get("trials", cfg.trials))
+                    cfg.tolerances = {
+                        key: float(value)
+                        for key, value in dict(raw.get("tolerances", {})).items()
+                    }
+                except (ValueError, TypeError, AttributeError) as exc:
+                    raise _ParseError(f"cannot parse config file: {exc}") from None
             cfg.output_path = raw.get("output_path", cfg.output_path)
             cfg.format = raw.get("format", cfg.format)
         if args.seed is not None:
@@ -69,10 +79,11 @@ class RunConfig:
         if args.format is not None:
             cfg.format = args.format
         for item in args.tol or ():
-            key, _, value = item.partition("=")
-            if not _:
-                raise ValidationError(f"--tol expects KEY=VALUE, got {item!r}")
-            cfg.tolerances[key] = float(value)
+            try:
+                key, value = item.split("=", 1)
+                cfg.tolerances[key] = float(value)
+            except ValueError:
+                raise _ParseError(f"--tol expects KEY=NUMBER, got {item!r}") from None
         if cfg.trials < 1:
             raise ValidationError("trials must be >= 1")
         return cfg
@@ -124,13 +135,19 @@ _DIVERGENCE_KINDS = {
 }
 
 
-def _cmd_divergence(args) -> int:
+def _load(loader, path: str, what: str):
+    """Read a JSON file with ``loader``; contents that fail validation still raise."""
     try:
-        a = qc.load_state(args.state_a)
-        b = qc.load_state(args.state_b)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"error: cannot parse state file: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return loader(path)
+    except ValidationError:
+        raise
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise _ParseError(f"cannot parse {what} file: {exc}") from None
+
+
+def _cmd_divergence(args) -> int:
+    a = _load(qc.load_state, args.state_a, "state")
+    b = _load(qc.load_state, args.state_b, "state")
     gamma = args.gamma
     if args.kind == "hockey" and gamma is None:
         print("error: hockey needs --gamma", file=sys.stderr)
@@ -146,11 +163,7 @@ def _cmd_divergence(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    try:
-        channel = qc.load_channel(args.channel)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"error: cannot parse channel file: {exc}", file=sys.stderr)
-        return EXIT_IO
+    channel = _load(qc.load_channel, args.channel, "channel")
     params = privacy.PrivacyParams(args.epsilon, args.delta)
     budget = privacy.SearchBudget(restarts=args.budget)
     result = privacy.certify(channel, params, budget, seed=args.seed or 0)
@@ -376,10 +389,21 @@ _APPLICATION_COLUMNS = [
 ]
 
 
+def _worker_count() -> int:
+    """Pool size: ``QPRIV_THREADS`` clamped to [1, CPU count], else min(8, CPU count)."""
+    cpus = os.cpu_count() or 1
+    raw = os.environ.get("QPRIV_THREADS")
+    if not raw:
+        return min(8, cpus)
+    try:
+        return min(max(int(raw), 1), cpus)
+    except ValueError:
+        raise _ParseError(f"QPRIV_THREADS must be an integer, got {raw!r}") from None
+
+
 def _pooled_map(fn, tasks):
     """Run tasks on a thread pool, preserving task order in the results."""
-    workers = os.environ.get("QPRIV_THREADS")
-    max_workers = int(workers) if workers else min(8, os.cpu_count() or 1)
+    max_workers = _worker_count()
     if max_workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -470,7 +494,7 @@ def main(argv=None) -> int:
     except ComputationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FINDING
-    except OSError as exc:
+    except (OSError, _ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -19,6 +19,7 @@ from .divergences import ConvexFunction, f_divergence
 from .errors import GammaOutOfRange, InvalidParams, NoValidPairs, ValidationError
 from .privacy import PrivacyParams
 from .quantum_core import (
+    TOL_DENOM,
     DensityMatrix,
     KrausChannel,
     as_rng,
@@ -28,9 +29,6 @@ from .quantum_core import (
 )
 
 TOL_SCAN = 1e-6
-
-# Divergence ratios with denominators below this are skipped as undefined.
-TOL_DENOM = 1e-8
 
 DIVERGENCE_IDS = ("trace", "hockey", "bures", "relent", "f_div")
 

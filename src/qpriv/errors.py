@@ -9,6 +9,10 @@ class ValidationError(QPrivError, ValueError):
     """An input violates a structural precondition or invariant."""
 
 
+class NonFinite(ValidationError):
+    """A matrix holds NaN or infinite entries."""
+
+
 class NonHermitian(ValidationError):
     """A matrix expected to be Hermitian is not, beyond tolerance."""
 

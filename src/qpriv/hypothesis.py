@@ -1,9 +1,10 @@
 """Helstrom error, exact sample complexity, and sample-complexity bounds.
 
 Binary discrimination of two states with priors (p, q = 1 - p): the optimal
-n-copy Bayesian error is evaluated exactly, either densely on tensor powers
-or through a classical fast path when the states commute, and the sample
-complexity is the smallest n driving that error below a target alpha.
+n-copy Bayesian error is evaluated exactly: through a classical fast path
+when the states commute, from Schur-Weyl blocks for other qubit pairs, and
+densely on tensor powers otherwise. The sample complexity is the smallest n
+driving that error below a target alpha.
 Alongside the exact searches, this module evaluates every closed-form bound
 family for the private and non-private settings.
 """
@@ -32,6 +33,7 @@ from .privacy import PrivacyParams, SearchBudget, certify
 from .quantum_core import (
     EPS_REG,
     MAX_DENSE_DIM,
+    TOL_DENOM,
     DensityMatrix,
     KrausChannel,
     Povm,
@@ -39,8 +41,6 @@ from .quantum_core import (
     matrix_geometric_mean,
     tensor_power,
 )
-
-TOL_DENOM = 1e-8
 
 # Commutator max-norm below which the classical fast path engages.
 COMMUTE_TOL = 1e-10
@@ -52,8 +52,13 @@ TOL_EIG = 1e-8
 N_MAX_FAST = 100_000
 _COMBO_BUDGET = 2_000_000
 
+# Largest copy count of the Schur-Weyl path for non-commuting qubit pairs;
+# one evaluation there takes a few tens of milliseconds.
+N_MAX_SCHUR = 128
+
 METHOD_DENSE = "dense"
 METHOD_CLASSICAL = "classical_fastpath"
+METHOD_SCHUR = "schur_weyl"
 METHOD_BOUNDS = "bounds_only"
 
 
@@ -183,25 +188,89 @@ def _pe_dense(rho: DensityMatrix, sigma: DensityMatrix, p: float, q: float, n: i
     return max(0.5 * (1.0 - nuc), 0.0)
 
 
+def _pe_schur(rho: DensityMatrix, sigma: DensityMatrix, p: float, q: float, n: int) -> float:
+    """n-copy Helstrom error of a qubit pair from its Schur-Weyl blocks.
+
+    By Schur-Weyl duality (Harrow, quant-ph/0512255) the n-qubit space splits
+    into irreducible blocks k = 0..n//2 of dimension m + 1, m = n - 2k, each
+    with multiplicity C(n, k) - C(n, k - 1), and A^{(x)n} acts on block k as
+    det(A)^k Sym^m(A). So ||p rho^{(x)n} - q sigma^{(x)n}||_1 is the
+    multiplicity-weighted sum of the trace norms of the blocks
+    p det(rho)^k Sym^m(rho) - q det(sigma)^k Sym^m(sigma).
+
+    The blocks are written in rho's eigenbasis, where Sym^m(rho) is diagonal;
+    a diagonal phase there makes sigma real, so every block is real symmetric.
+    In the orthonormal symmetric basis |m, i> (i ones among m qubits),
+    |m, i> = sqrt((m - i) / m) |m-1, i>|0> + sqrt(i / m) |m-1, i-1>|1>, so
+    Sym^m(A) is the compression of Sym^{m-1}(A) (x) A by that isometry.
+    """
+    if n > N_MAX_SCHUR:
+        raise DimensionBudgetExceeded(
+            f"{n} copies exceed the Schur-Weyl budget of {N_MAX_SCHUR}"
+        )
+    lam, v = np.linalg.eigh(rho.entries)
+    lam = np.clip(lam, 0.0, None)
+    s = v.conj().T @ sigma.entries @ v
+    a, b, c = float(s[0, 0].real), float(abs(s[0, 1])), float(s[1, 1].real)
+    det_rho = float(lam[0] * lam[1])
+    det_sigma = max(a * c - b * b, 0.0)
+    sym = np.ones((1, 1))  # Sym^m(sigma) in rho's eigenbasis, from m = 0
+    nuc = 0.0
+    for m in range(n + 1):
+        i = np.arange(m + 1)
+        if m:
+            # Weights of |m-1, i>|0> and |m-1, i-1>|1> in |m, i>.
+            w0 = np.sqrt((m - i[:-1]) / m)
+            w1 = np.sqrt(i[1:] / m)
+            last0 = np.zeros((m, m + 1))
+            last0[:, :m] = sym * w0
+            last1 = np.zeros((m, m + 1))
+            last1[:, 1:] = sym * w1
+            sym = np.zeros((m + 1, m + 1))
+            sym[:m] = w0[:, None] * (a * last0 + b * last1)
+            sym[1:] += w1[:, None] * (b * last0 + c * last1)
+        if (n - m) % 2:
+            continue
+        k = (n - m) // 2
+        mult = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+        block = (-q * mult * det_sigma**k) * sym
+        block[i, i] += (p * mult * det_rho**k) * lam[0] ** (m - i) * lam[1] ** i
+        nuc += float(np.sum(np.abs(np.linalg.eigvalsh(block))))
+    return max(0.5 * (1.0 - nuc), 0.0)
+
+
+def _pe_path(inst: HypothesisInstance):
+    """The method label and P_e(n) kernel that ``method="auto"`` uses."""
+    args = (inst.prior_p, inst.prior_q)
+    decomp = _simultaneous_diagonalization(inst.rho.entries, inst.sigma.entries)
+    if decomp is not None:
+        return METHOD_CLASSICAL, lambda n: _pe_classical(*decomp, *args, n)
+    if inst.rho.dim == 2:
+        return METHOD_SCHUR, lambda n: _pe_schur(inst.rho, inst.sigma, *args, n)
+    return METHOD_DENSE, lambda n: _pe_dense(inst.rho, inst.sigma, *args, n)
+
+
 def helstrom_error_n(inst: HypothesisInstance, n: int, method: str = "auto") -> float:
     """Optimal n-copy error for the instance.
 
     ``method="auto"`` takes the classical fast path (log-domain outcome-count
     sums, n up to 1e5 for commuting qubit pairs) when the states commute
-    within ``COMMUTE_TOL``, and the dense tensor-power path otherwise.
+    within ``COMMUTE_TOL``. Non-commuting qubit pairs take the Schur-Weyl
+    blocks (n up to ``N_MAX_SCHUR``), and wider non-commuting pairs the dense
+    tensor-power path. ``method="dense"`` always takes the tensor-power path,
+    which serves as the oracle; ``DimensionBudgetExceeded`` marks n past a
+    path's budget.
     """
     if n < 1:
         raise InvalidParams(f"copy count must be >= 1, got {n}")
-    rho_m, sigma_m = inst.rho.entries, inst.sigma.entries
     if method not in ("auto", METHOD_DENSE, METHOD_CLASSICAL):
         raise InvalidParams(f"unknown method {method!r}")
-    if method in ("auto", METHOD_CLASSICAL):
-        decomp = _simultaneous_diagonalization(rho_m, sigma_m)
-        if decomp is not None:
-            return _pe_classical(*decomp, inst.prior_p, inst.prior_q, n)
-        if method == METHOD_CLASSICAL:
-            raise DimensionBudgetExceeded("states do not commute; no classical path")
-    return _pe_dense(inst.rho, inst.sigma, inst.prior_p, inst.prior_q, n)
+    if method == METHOD_DENSE:
+        return _pe_dense(inst.rho, inst.sigma, inst.prior_p, inst.prior_q, n)
+    path, pe = _pe_path(inst)
+    if method == METHOD_CLASSICAL and path != METHOD_CLASSICAL:
+        raise DimensionBudgetExceeded("states do not commute; no classical path")
+    return pe(n)
 
 
 def _linear_search(done, limit: int) -> int | None:
@@ -240,22 +309,26 @@ def exact_sample_complexity(
 ) -> SampleComplexityResult:
     """Smallest n with n-copy error at most alpha.
 
-    Commuting states take a galloping search: doubling, then bisection. It is
+    Commuting states (the classical fast path, n up to ``N_MAX_FAST``) and
+    non-commuting qubit pairs (the Schur-Weyl blocks, n up to
+    ``N_MAX_SCHUR``) take a galloping search: doubling, then bisection. It is
     exact because P_e(n) cannot increase with n (extra copies can be
-    discarded), and it costs O(log n) evaluations. Non-commuting states scan
-    n = 1, 2, ... instead, because each dense evaluation costs several times
-    the previous one and an overshoot past the answer would dominate.
+    discarded), and it costs O(log n) evaluations. Wider non-commuting states
+    scan n = 1, 2, ... on dense tensor powers instead, because each dense
+    evaluation costs several times the previous one and an overshoot past the
+    answer would dominate.
 
-    Returns a bounds-only result (lower = n_max + 1) when the target is not
-    reached within the search budget. Raises ``DimensionBudgetExceeded`` when
-    the target lies beyond the outcome-count enumeration budget of a
-    commuting pair with three or more outcomes.
+    Returns a bounds-only result (lower = cap + 1) when the target is not
+    reached within the search cap: n_max when given, else the path's budget,
+    and never past the budget on the Schur-Weyl and dense paths. Raises
+    ``DimensionBudgetExceeded`` when the target lies beyond the outcome-count
+    enumeration budget of a commuting pair with three or more outcomes.
     """
     if trace_distance(inst.rho, inst.sigma) <= TOL_DENOM:
         raise Unbounded("identical hypotheses can never be distinguished")
-    decomp = _simultaneous_diagonalization(inst.rho.entries, inst.sigma.entries)
-    if decomp is not None:
-        method = METHOD_CLASSICAL
+    method, pe = _pe_path(inst)
+    search = _galloping_search
+    if method == METHOD_CLASSICAL:
         cap = N_MAX_FAST if n_max is None else int(n_max)
         d = inst.rho.dim
         # Probes stop at the last n whose count table fits the budget, so a
@@ -264,16 +337,14 @@ def exact_sample_complexity(
         if d > 2:
             over = _galloping_search(lambda n: _combo_count(n, d) > _COMBO_BUDGET, cap)
         limit = cap if over is None else over - 1
-        search = _galloping_search
-        pe = lambda n: _pe_classical(*decomp, inst.prior_p, inst.prior_q, n)
+    elif method == METHOD_SCHUR:
+        cap = limit = N_MAX_SCHUR if n_max is None else min(int(n_max), N_MAX_SCHUR)
     else:
-        method = METHOD_DENSE
         dense_cap = 1
         while inst.rho.dim ** (dense_cap + 1) <= MAX_DENSE_DIM:
             dense_cap += 1
         cap = limit = dense_cap if n_max is None else min(int(n_max), dense_cap)
         search = _linear_search
-        pe = lambda n: _pe_dense(inst.rho, inst.sigma, inst.prior_p, inst.prior_q, n)
     evaluations = 0
 
     def reached(n: int) -> bool:

@@ -14,6 +14,7 @@ certification is conclusive while a passed one is best-effort.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ TOL_CERT = 1e-7
 # Searches reporting a supremum above this value return +inf as a sentinel.
 EPSILON_CAP = 50.0
 
+# Largest epsilon whose e^eps is a finite double.
+EPSILON_MAX = math.log(sys.float_info.max)
+
 DEFAULT_RESTARTS = 64
 DEFAULT_POLISH_STEPS = 200
 
@@ -47,8 +51,10 @@ class PrivacyParams:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.epsilon >= 0.0:
-            raise InvalidParams(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0.0 <= self.epsilon <= EPSILON_MAX:
+            raise InvalidParams(
+                f"epsilon must be in [0, {EPSILON_MAX:.2f}], got {self.epsilon}"
+            )
         if not 0.0 <= self.delta <= 1.0:
             raise InvalidParams(f"delta must be in [0, 1], got {self.delta}")
 

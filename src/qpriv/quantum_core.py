@@ -12,6 +12,7 @@ function; random-number state is owned by the caller and passed explicitly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
     InvalidProbability,
     InvalidRank,
     InvalidTrace,
+    NonFinite,
     NonHermitian,
     NotAnEffect,
     NotPositiveSemidefinite,
@@ -38,6 +40,10 @@ TOL_TP = 1e-9
 TOL_PSD = 1e-8
 TOL_SPEC = 1e-8
 TOL_NORM = 1e-9
+
+# Divergence ratios with denominators below this are skipped as undefined,
+# and states closer than this in trace distance count as indistinguishable.
+TOL_DENOM = 1e-8
 
 # Regularization weight for singular operands of the geometric mean.
 EPS_REG = 1e-10
@@ -66,7 +72,10 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
 
 
 def _check_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    scale = max(float(np.max(np.abs(m))) if m.size else 0.0, 1.0)
+    peak = float(np.max(np.abs(m))) if m.size else 0.0
+    if not math.isfinite(peak):
+        raise NonFinite(f"{name} has non-finite entries")
+    scale = max(peak, 1.0)
     if float(np.max(np.abs(m - m.conj().T))) > TOL_HERM * scale:
         raise NonHermitian(f"{name} is not Hermitian within tolerance")
     return hermitian_part(m)
@@ -181,6 +190,8 @@ class KrausChannel:
         if len(shape) != 2 or any(k.shape != shape for k in ops):
             raise DimensionMismatch("Kraus operators must share one 2-d shape")
         dim_out, dim_in = shape
+        if not all(np.isfinite(k).all() for k in ops):
+            raise NonFinite("Kraus operators have non-finite entries")
         s = sum(k.conj().T @ k for k in ops)
         if float(np.max(np.abs(s - np.eye(dim_in)))) > TOL_TP:
             raise NotTracePreserving("Kraus set is not trace-preserving")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -138,3 +139,87 @@ class TestReproduceCommand:
         }
         for row in rows:
             assert row["sc_lower"] - 1 < row["sc_exact"] <= math.ceil(row["sc_upper"])
+
+
+def write_json(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def run_cli(argv, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out + captured.err
+
+
+class TestHostileInput:
+    def test_nan_state_exits_three_without_nan_output(self, tmp_path, state_files, capsys):
+        entries = [[math.nan, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+        bad = write_json(tmp_path / "nan.json", {"dim": 2, "entries": entries})
+        code, text = run_cli(["divergence", "trace", bad, state_files[1]], capsys)
+        assert code == 3
+        assert "NaN" not in text and "inf" not in text
+
+    def test_nan_channel_exits_three_without_nan_output(self, tmp_path, capsys):
+        kraus = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [math.nan, 0.0]]]
+        bad = write_json(tmp_path / "nan.json", {"dim_in": 2, "dim_out": 2, "kraus": kraus})
+        code, text = run_cli(["certify", bad, "--epsilon", "1", "--budget", "4"], capsys)
+        assert code == 3
+        assert "NaN" not in text and "inf" not in text
+
+    def test_epsilon_past_overflow_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "ident.json"
+        qc.save_channel(qc.KrausChannel((np.eye(2),)), path)
+        code, text = run_cli(["certify", str(path), "--epsilon", "1e9"], capsys)
+        assert code == 3 and text.startswith("error: ")
+
+    def test_ragged_entries_exit_two(self, tmp_path, state_files, capsys):
+        entries = [[1.0, 0.0], [0.0], [0.0, 0.0], [0.0, 0.0]]
+        bad = write_json(tmp_path / "ragged.json", {"dim": 2, "entries": entries})
+        code, text = run_cli(["divergence", "trace", bad, state_files[1]], capsys)
+        assert code == 2 and text.startswith("error: ")
+
+    def test_non_integer_dim_exits_two(self, tmp_path, state_files, capsys):
+        entries = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        bad = write_json(tmp_path / "dim.json", {"dim": "x", "entries": entries})
+        code, text = run_cli(["divergence", "trace", bad, state_files[1]], capsys)
+        assert code == 2 and text.startswith("error: ")
+
+    @pytest.mark.parametrize("item", ["tol_scan=abc", "tol_scan"])
+    def test_unparsable_tolerance_exits_two(self, tmp_path, item, capsys):
+        out = str(tmp_path / "t")
+        code, text = run_cli(["reproduce", "contraction", "--out", out, "--tol", item], capsys)
+        assert code == 2 and text.startswith("error: ")
+
+    def test_unparsable_config_exits_two(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {"trials": "many"})
+        out = str(tmp_path / "c")
+        code, text = run_cli(["reproduce", "contraction", "--config", cfg, "--out", out], capsys)
+        assert code == 2 and text.startswith("error: ")
+
+
+class TestWorkerCount:
+    """Parse-only: none of these starts a thread pool."""
+
+    def test_default(self, monkeypatch):
+        monkeypatch.delenv("QPRIV_THREADS", raising=False)
+        assert cli._worker_count() == min(8, os.cpu_count() or 1)
+        monkeypatch.setenv("QPRIV_THREADS", "")
+        assert cli._worker_count() == min(8, os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("raw", ["0", "-3", "1", "100000"])
+    def test_clamped_to_cpu_count(self, monkeypatch, raw):
+        monkeypatch.setenv("QPRIV_THREADS", raw)
+        assert cli._worker_count() == min(max(int(raw), 1), os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("raw", ["abc", "2.5", "1e3"])
+    def test_non_integer_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("QPRIV_THREADS", raw)
+        with pytest.raises(cli._ParseError):
+            cli._worker_count()
+
+    def test_non_integer_exits_two_before_any_work(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("QPRIV_THREADS", "many")
+        out = str(tmp_path / "w")
+        code, text = run_cli(["reproduce", "contraction", "--out", out], capsys)
+        assert code == 2 and "QPRIV_THREADS" in text

@@ -37,17 +37,27 @@ def mechanism_instance(rho, sigma, eps, p=0.5, alpha=0.1):
     return hyp.HypothesisInstance(qc.apply(mech, rho), qc.apply(mech, sigma), p, alpha)
 
 
+def commuting_pair(dim, rng):
+    """Two commuting states in a random basis, with their eigenvalues."""
+    u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    p = rng.dirichlet(np.ones(dim))
+    q = 0.4 * p + 0.6 * rng.dirichlet(np.ones(dim))
+    rho = qc.DensityMatrix(u @ np.diag(p) @ u.conj().T)
+    sigma = qc.DensityMatrix(u @ np.diag(q) @ u.conj().T)
+    return rho, sigma, p, q
+
+
 def commuting_instances(dim, count, seed):
-    """Commuting pairs in a random basis; alpha sits on P_e(target) or between
-    P_e(target) and P_e(target - 1), so ties with alpha are covered."""
+    return targeted_instances(lambda rng: commuting_pair(dim, rng)[:2], count, seed)
+
+
+def targeted_instances(draw, count, seed):
+    """Pairs from draw(rng); alpha sits on P_e(target) or between P_e(target)
+    and P_e(target - 1), so ties with alpha are covered."""
     rng = np.random.default_rng(seed)
     instances = []
     while len(instances) < count:
-        u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
-        p = rng.dirichlet(np.ones(dim))
-        q = 0.4 * p + 0.6 * rng.dirichlet(np.ones(dim))
-        rho = qc.DensityMatrix(u @ np.diag(p) @ u.conj().T)
-        sigma = qc.DensityMatrix(u @ np.diag(q) @ u.conj().T)
+        rho, sigma = draw(rng)
         prior = rng.uniform(0.3, 0.7)
         probe = hyp.HypothesisInstance(rho, sigma, prior, 0.01)
         target = int(rng.integers(2, 40))
@@ -59,19 +69,19 @@ def commuting_instances(dim, count, seed):
     return instances
 
 
-def linear_scan(inst, n_max=None):
+def linear_scan(inst, n_max=None, budget=hyp.N_MAX_FAST):
     """Reference search: P_e(n) for n = 1, 2, ... until it reaches alpha."""
-    cap = hyp.N_MAX_FAST if n_max is None else n_max
+    cap = budget if n_max is None else n_max
     for n in range(1, cap + 1):
         if hyp.helstrom_error_n(inst, n) <= inst.alpha:
             return n
     return None
 
 
-def searched(inst, n_max=None):
+def searched(inst, n_max=None, budget=hyp.N_MAX_FAST):
     result = hyp.exact_sample_complexity(inst, n_max)
     if result.exact is None:
-        cap = hyp.N_MAX_FAST if n_max is None else n_max
+        cap = budget if n_max is None else n_max
         assert (result.method, result.lower) == ("bounds_only", cap + 1.0)
     return result.exact
 
@@ -236,9 +246,85 @@ class TestExactSampleComplexity:
         rng = np.random.default_rng(4)
         rho = qc.random_density_matrix(2, seed=rng)
         sigma = qc.random_density_matrix(2, seed=rng)
-        dense = hyp.exact_sample_complexity(hyp.HypothesisInstance(rho, sigma, 0.5, 0.2))
-        assert dense.method == "dense" and dense.evaluations == dense.exact
+        schur = hyp.exact_sample_complexity(hyp.HypothesisInstance(rho, sigma, 0.5, 0.2))
+        assert schur.method == "schur_weyl"
+        assert schur.evaluations <= 2 * math.ceil(math.log2(schur.exact)) + 1
+        rho3 = qc.random_density_matrix(3, seed=rng)
+        sigma3 = qc.random_density_matrix(3, seed=rng)
+        dense = hyp.exact_sample_complexity(hyp.HypothesisInstance(rho3, sigma3, 0.5, 0.1))
+        assert dense.method == "dense" and dense.exact > 1
+        assert dense.evaluations == dense.exact
         assert hyp.orthogonal_sc_bounds(0.5, 0.5, 0.1).evaluations == 0
+
+
+def noncommuting_qubits(rng):
+    return qc.random_density_matrix(2, seed=rng), qc.random_density_matrix(2, seed=rng)
+
+
+class TestSchurWeyl:
+    @pytest.mark.parametrize(
+        "case, seed",
+        [("mixed", 30), ("mixed_unequal_priors", 34), ("pure", 30), ("near_commuting", None)],
+    )
+    def test_matches_tensor_power_oracle(self, case, seed):
+        rng = np.random.default_rng(seed)
+        prior, n_top = 0.5, 10
+        if case == "pure":
+            rho = qc.random_density_matrix(2, rank=1, seed=rng)
+            sigma = qc.random_density_matrix(2, rank=1, seed=rng)
+        elif case == "near_commuting":
+            # The commutator's max-norm is 0.24 * theta, about twice COMMUTE_TOL.
+            theta = 8.3e-10
+            r = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+            rho = qc.DensityMatrix(np.diag([0.7, 0.3]))
+            sigma = qc.DensityMatrix(r @ np.diag([0.2, 0.8]) @ r.T)
+            comm = rho.entries @ sigma.entries - sigma.entries @ rho.entries
+            assert hyp.COMMUTE_TOL < np.max(np.abs(comm)) < 3 * hyp.COMMUTE_TOL
+        else:
+            rho, sigma = noncommuting_qubits(rng)
+            if case == "mixed_unequal_priors":
+                # One tensor-power oracle at n = 11 takes seconds; one case pays it.
+                prior, n_top = 0.3, 11
+        inst = hyp.HypothesisInstance(rho, sigma, prior, 0.01)
+        assert hyp._pe_path(inst)[0] == "schur_weyl"
+        for n in range(1, n_top + 1):
+            dense = hyp.helstrom_error_n(inst, n, method="dense")
+            schur = hyp._pe_schur(rho, sigma, prior, 1.0 - prior, n)
+            assert abs(schur - dense) <= 1e-12, n
+            assert hyp.helstrom_error_n(inst, n) == schur
+
+    def test_commuting_pairs_match_classical_up_to_the_cap(self):
+        rng = np.random.default_rng(31)
+        ns = [*range(1, 17), 31, 32, 33, 63, 64, 65, 100, hyp.N_MAX_SCHUR - 1, hyp.N_MAX_SCHUR]
+        for prior in (0.5, 0.35):
+            rho, sigma, p, q = commuting_pair(2, rng)
+            for n in ns:
+                schur = hyp._pe_schur(rho, sigma, prior, 1.0 - prior, n)
+                classical = hyp._pe_classical(p, q, prior, 1.0 - prior, n)
+                assert abs(schur - classical) <= 1e-12, n
+
+    def test_galloping_matches_linear_scan(self):
+        for inst in targeted_instances(noncommuting_qubits, 10, seed=32):
+            answer = linear_scan(inst, budget=hyp.N_MAX_SCHUR)
+            assert answer is not None
+            for n_max in (None, 0, 1, answer - 1, answer):
+                result = searched(inst, n_max, budget=hyp.N_MAX_SCHUR)
+                assert result == linear_scan(inst, n_max, budget=hyp.N_MAX_SCHUR)
+            assert hyp.exact_sample_complexity(inst).method == "schur_weyl"
+
+    def test_past_the_cap_returns_bounds_only(self):
+        rho, sigma = noncommuting_qubits(np.random.default_rng(33))
+        probe = hyp.HypothesisInstance(rho, sigma, 0.5, 0.1)
+        alpha = 0.5 * hyp.helstrom_error_n(probe, hyp.N_MAX_SCHUR)
+        assert alpha > 0.0
+        inst = hyp.HypothesisInstance(rho, sigma, 0.5, alpha)
+        for n_max in (None, 2 * hyp.N_MAX_SCHUR):
+            result = hyp.exact_sample_complexity(inst, n_max)
+            assert (result.method, result.exact) == ("bounds_only", None)
+            assert result.lower == hyp.N_MAX_SCHUR + 1
+            assert result.evaluations == math.log2(hyp.N_MAX_SCHUR) + 1
+        with pytest.raises(errors.DimensionBudgetExceeded):
+            hyp.helstrom_error_n(inst, hyp.N_MAX_SCHUR + 1)
 
 
 class TestOutcomeCounts:

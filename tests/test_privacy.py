@@ -245,6 +245,12 @@ class TestParams:
         with pytest.raises(errors.InvalidParams):
             privacy.PrivacyParams(-0.1, 0.0)
 
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan, 1e9])
+    def test_rejects_epsilon_whose_exponential_overflows(self, epsilon):
+        with pytest.raises(errors.InvalidParams):
+            privacy.PrivacyParams(epsilon, 0.0)
+        assert math.isfinite(math.exp(privacy.PrivacyParams(privacy.EPSILON_MAX).epsilon))
+
     def test_rejects_bad_delta(self):
         with pytest.raises(errors.InvalidParams):
             privacy.PrivacyParams(1.0, 1.5)

@@ -324,6 +324,15 @@ class TestValidation:
         with pytest.raises(errors.NotTracePreserving):
             qc.KrausChannel((0.5 * np.eye(2),))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(errors.NonFinite):
+            qc.DensityMatrix([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(errors.NonFinite):
+            qc.DensityMatrix([[0.5, bad], [bad, 0.5]])
+        with pytest.raises(errors.NonFinite):
+            qc.KrausChannel((np.eye(2), np.array([[0.0, bad], [0.0, 0.0]])))
+
     def test_povm_completeness(self):
         with pytest.raises(errors.NotTracePreserving):
             qc.Povm((np.diag([1.0, 0.0]), np.diag([0.0, 0.5])))
