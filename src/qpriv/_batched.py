@@ -58,14 +58,25 @@ def bures_squared_qubit_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 2.0 * (1.0 - np.sqrt(fidelity_qubit_batch(x, y)))
 
 
-def relative_entropy_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Relative entropy of stacked state pairs; inf on support violation."""
+def _support(x: np.ndarray, y: np.ndarray):
+    """Support data shared by the entropies of stacked x relative to y.
+
+    Returns y's clipped spectrum and eigenbasis, the mask of eigenvalues above
+    the support cutoff, x's weight on each eigenvector of y, and x's total
+    weight outside supp(y).
+    """
     w, v = np.linalg.eigh(y)
     w = np.clip(w, 0.0, None)
     cutoff = TOL_SUPP * np.clip(w[..., -1:], 1e-300, None)
     on_support = w > cutoff
     overlaps = np.clip(np.real(np.einsum("...ji,...jk,...ki->...i", v.conj(), x, v)), 0.0, None)
     outside = np.sum(np.where(on_support, 0.0, overlaps), axis=-1)
+    return w, v, on_support, overlaps, outside
+
+
+def relative_entropy_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Relative entropy of stacked state pairs; inf on support violation."""
+    w, _, on_support, overlaps, outside = _support(x, y)
     mu = np.clip(np.linalg.eigvalsh(x), 0.0, None)
     ent = np.sum(np.where(mu > _ENT_FLOOR, mu * np.log(np.clip(mu, _ENT_FLOOR, None)), 0.0), axis=-1)
     logw = np.log(np.where(on_support, np.clip(w, 1e-300, None), 1.0))
@@ -75,12 +86,7 @@ def relative_entropy_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def max_relative_entropy_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Max-relative entropy of stacked state pairs; inf on support violation."""
-    w, v = np.linalg.eigh(y)
-    w = np.clip(w, 0.0, None)
-    cutoff = TOL_SUPP * np.clip(w[..., -1:], 1e-300, None)
-    on_support = w > cutoff
-    overlaps = np.clip(np.real(np.einsum("...ji,...jk,...ki->...i", v.conj(), x, v)), 0.0, None)
-    outside = np.sum(np.where(on_support, 0.0, overlaps), axis=-1)
+    w, v, on_support, _, outside = _support(x, y)
     inv_sqrt = np.where(on_support, 1.0 / np.sqrt(np.where(on_support, w, 1.0)), 0.0)
     s = np.einsum("...ik,...k,...jk->...ij", v, inv_sqrt, v.conj())
     core = s @ x @ s

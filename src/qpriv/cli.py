@@ -32,6 +32,8 @@ EXIT_FINDING = 1
 EXIT_IO = 2
 EXIT_VALIDATION = 3
 
+_FORMATS = ("csv", "json")
+
 _EPS_GRID_TRACE = (0.25, 1.0, math.log(3.0), 2.0)
 _EPS_GRID_AUX = (0.5, 1.0, 2.0)
 _EPS_DELTA_GRID = tuple(
@@ -70,6 +72,10 @@ class RunConfig:
                     raise _ParseError(f"cannot parse config file: {exc}") from None
             cfg.output_path = raw.get("output_path", cfg.output_path)
             cfg.format = raw.get("format", cfg.format)
+            if not isinstance(cfg.output_path, str):
+                raise _ParseError(f"output_path must be a string, got {cfg.output_path!r}")
+            if cfg.format not in _FORMATS:
+                raise _ParseError(f"format must be one of {_FORMATS}, got {cfg.format!r}")
         if args.seed is not None:
             cfg.seed = args.seed
         if args.trials is not None:
@@ -212,27 +218,11 @@ def _contraction_rows(cfg: RunConfig) -> list[dict]:
             )
         ]
 
-    reports = []
-    for result in _pooled_map(run, tasks):
-        reports.extend(result)
-    rows = []
-    for rep in reports:
-        rows.append(
-            {
-                "divergence_id": rep.divergence_id,
-                "epsilon": rep.epsilon,
-                "delta": rep.delta,
-                "gamma": rep.gamma,
-                "theory_bound": rep.theory_bound,
-                "empirical_sup": rep.empirical_sup,
-                "relative_to": rep.relative_to,
-                "witness_kind": rep.witness_kind,
-                "violation": rep.violation,
-                "trials": rep.trials,
-                "seed": cfg.seed,
-            }
-        )
-    return rows
+    return [
+        {**rep.to_dict(include_witness=False), "seed": cfg.seed}
+        for result in _pooled_map(run, tasks)
+        for rep in result
+    ]
 
 
 _CONTRACTION_COLUMNS = [
@@ -477,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--trials", type=int, default=None)
     p_rep.add_argument("--tol", action="append", metavar="KEY=VALUE")
     p_rep.add_argument("--out", default=None)
-    p_rep.add_argument("--format", choices=["csv", "json"], default=None)
+    p_rep.add_argument("--format", choices=_FORMATS, default=None)
     p_rep.add_argument("--config", default=None, help="optional JSON RunConfig file")
     p_rep.set_defaults(func=_cmd_reproduce)
     return parser

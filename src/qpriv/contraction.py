@@ -17,16 +17,8 @@ import numpy as np
 from . import _batched as bk
 from .divergences import ConvexFunction, f_divergence
 from .errors import GammaOutOfRange, InvalidParams, NoValidPairs, ValidationError
-from .privacy import PrivacyParams
-from .quantum_core import (
-    TOL_DENOM,
-    DensityMatrix,
-    KrausChannel,
-    as_rng,
-    compose,
-    depolarizing_channel,
-    measurement_channel_two_outcome,
-)
+from .privacy import PrivacyParams, build_eps_delta_mechanism
+from .quantum_core import TOL_DENOM, DensityMatrix, KrausChannel, as_rng, compose
 
 TOL_SCAN = 1e-6
 
@@ -192,24 +184,17 @@ def _sample_chunk(rng: np.random.Generator, m: int, dim: int, p_mech: float) -> 
     }
 
 
-def _mechanism_from_weight(effect, p: float) -> KrausChannel:
-    return compose(depolarizing_channel(2, p), measurement_channel_two_outcome(effect))
-
-
-def _witness_from_chunk(data: dict, idx: int, p_mech: float):
-    mech = _mechanism_from_weight(data["effects"][idx], p_mech)
-    if data["extremal"][idx]:
+def _witness(pair: dict, params: PrivacyParams):
+    mech = build_eps_delta_mechanism(pair["effects"], params)
+    if pair["extremal"]:
         channel = mech
         kind = "extremal_mechanism"
     else:
-        pre = KrausChannel(tuple(data["pre_kraus"][idx]))
-        post = KrausChannel(tuple(data["post_kraus"][idx]))
+        pre = KrausChannel(tuple(pair["pre_kraus"]))
+        post = KrausChannel(tuple(pair["post_kraus"]))
         channel = compose(post, compose(mech, pre))
         kind = "random_composite"
-    states = (
-        DensityMatrix(data["in1"][idx]),
-        DensityMatrix(data["in2"][idx]),
-    )
+    states = (DensityMatrix(pair["in1"]), DensityMatrix(pair["in2"]))
     return channel, states, kind
 
 
@@ -286,6 +271,72 @@ def _validate_scan_args(divergence_id, params, gamma, dims):
             )
 
 
+def _scan_reports(
+    divergence_id: str,
+    params: PrivacyParams,
+    gammas: list,
+    dims,
+    trials: int,
+    seed,
+    f: ConvexFunction | None,
+    tol_scan: float,
+) -> list[ContractionReport]:
+    """The trial loop behind :func:`scan` and :func:`scan_hockey_grid`.
+
+    Every gamma is scored on each sampled chunk. Only the best pair's slices
+    are kept while sampling; each witness channel is built once, at the end.
+    """
+    theories = [_theory(divergence_id, params, g, f) for g in gammas]
+    p_mech = 2.0 * (1.0 - params.delta) / (math.exp(params.epsilon) + 1.0)
+    rng = as_rng(seed)
+
+    best = [-math.inf] * len(gammas)
+    best_pair = [None] * len(gammas)
+    valid = [0] * len(gammas)
+    for j, dim in enumerate(dims):
+        budget = trials // len(dims) + (trials % len(dims) if j == 0 else 0)
+        done = 0
+        while done < budget:
+            m = min(_CHUNK, budget - done)
+            data = _sample_chunk(rng, m, dim, p_mech)
+            for gi, g in enumerate(gammas):
+                num, den = _numden(divergence_id, data, g, f, params.delta)
+                mask = (den >= TOL_DENOM) & np.isfinite(num)
+                valid[gi] += int(np.count_nonzero(mask))
+                if np.any(mask):
+                    ratio = np.where(mask, num / np.where(mask, den, 1.0), -math.inf)
+                    i = int(np.argmax(ratio))
+                    if ratio[i] > best[gi]:
+                        best[gi] = float(ratio[i])
+                        best_pair[gi] = {key: value[i].copy() for key, value in data.items()}
+            done += m
+
+    reports = []
+    for g, (bound, relative_to), sup, pair, n_valid in zip(
+        gammas, theories, best, best_pair, valid
+    ):
+        if n_valid == 0:
+            raise NoValidPairs(f"every sampled pair had a degenerate denominator (gamma={g})")
+        channel, states, kind = _witness(pair, params)
+        reports.append(
+            ContractionReport(
+                divergence_id=divergence_id,
+                epsilon=params.epsilon,
+                delta=params.delta,
+                gamma=g,
+                theory_bound=bound,
+                empirical_sup=sup,
+                witness_states=states,
+                witness_channel=channel,
+                witness_kind=kind,
+                trials=trials,
+                violation=sup > bound + tol_scan,
+                relative_to=relative_to,
+            )
+        )
+    return reports
+
+
 def scan(
     divergence_id: str,
     params: PrivacyParams,
@@ -296,7 +347,6 @@ def scan(
     *,
     f: ConvexFunction | None = None,
     tol_scan: float = TOL_SCAN,
-    chunk: int = _CHUNK,
 ) -> ContractionReport:
     """Estimate a privatized contraction supremum empirically.
 
@@ -307,47 +357,7 @@ def scan(
     Denominators below ``TOL_DENOM`` are skipped.
     """
     _validate_scan_args(divergence_id, params, gamma, dims)
-    theory_bound, relative_to = _theory(divergence_id, params, gamma, f)
-    p_mech = 2.0 * (1.0 - params.delta) / (math.exp(params.epsilon) + 1.0)
-    rng = as_rng(seed)
-
-    best = -math.inf
-    best_witness = None
-    valid = 0
-    for j, dim in enumerate(dims):
-        budget = trials // len(dims) + (trials % len(dims) if j == 0 else 0)
-        done = 0
-        while done < budget:
-            m = min(chunk, budget - done)
-            data = _sample_chunk(rng, m, dim, p_mech)
-            num, den = _numden(divergence_id, data, gamma, f, params.delta)
-            mask = (den >= TOL_DENOM) & np.isfinite(num)
-            valid += int(np.count_nonzero(mask))
-            if np.any(mask):
-                ratio = np.where(mask, num / np.where(mask, den, 1.0), -math.inf)
-                i = int(np.argmax(ratio))
-                if ratio[i] > best:
-                    best = float(ratio[i])
-                    best_witness = _witness_from_chunk(data, i, p_mech)
-            done += m
-    if valid == 0:
-        raise NoValidPairs("every sampled pair had a degenerate denominator")
-
-    channel, states, kind = best_witness
-    return ContractionReport(
-        divergence_id=divergence_id,
-        epsilon=params.epsilon,
-        delta=params.delta,
-        gamma=gamma,
-        theory_bound=theory_bound,
-        empirical_sup=best,
-        witness_states=states,
-        witness_channel=channel,
-        witness_kind=kind,
-        trials=trials,
-        violation=best > theory_bound + tol_scan,
-        relative_to=relative_to,
-    )
+    return _scan_reports(divergence_id, params, [gamma], dims, trials, seed, f, tol_scan)[0]
 
 
 def scan_hockey_grid(
@@ -358,65 +368,15 @@ def scan_hockey_grid(
     seed=0,
     *,
     tol_scan: float = TOL_SCAN,
-    chunk: int = _CHUNK,
 ) -> list[ContractionReport]:
     """Hockey-stick scan over a gamma grid sharing one trial ensemble.
 
-    Equivalent to one :func:`scan` per gamma but reusing the sampled channels
-    and state pairs across the whole grid, which keeps grid sweeps at the
-    10k-trial scale fast.
+    Runs the trial loop of :func:`scan` once and scores every gamma on the
+    same sampled channels and state pairs, so report k equals
+    ``scan("hockey", params, gammas[k], dims, trials, seed)`` exactly, while
+    the whole grid costs one sampling pass.
     """
     gammas = [float(g) for g in gammas]
     for g in gammas:
         _validate_scan_args("hockey", params, g, dims)
-    if params.delta != 0.0:
-        raise InvalidParams("hockey-stick bounds require delta = 0")
-    p_mech = 2.0 / (math.exp(params.epsilon) + 1.0)
-    rng = as_rng(seed)
-
-    n_g = len(gammas)
-    best = np.full(n_g, -math.inf)
-    best_witness = [None] * n_g
-    valid = np.zeros(n_g, dtype=int)
-    for j, dim in enumerate(dims):
-        budget = trials // len(dims) + (trials % len(dims) if j == 0 else 0)
-        done = 0
-        while done < budget:
-            m = min(chunk, budget - done)
-            data = _sample_chunk(rng, m, dim, p_mech)
-            for gi, g in enumerate(gammas):
-                num = bk.hockey_stick_ext_batch(data["out1"], data["out2"], g)
-                den = bk.hockey_stick_ext_batch(data["in1"], data["in2"], g)
-                mask = den >= TOL_DENOM
-                valid[gi] += int(np.count_nonzero(mask))
-                if np.any(mask):
-                    ratio = np.where(mask, num / np.where(mask, den, 1.0), -math.inf)
-                    i = int(np.argmax(ratio))
-                    if ratio[i] > best[gi]:
-                        best[gi] = float(ratio[i])
-                        best_witness[gi] = _witness_from_chunk(data, i, p_mech)
-            done += m
-
-    reports = []
-    for gi, g in enumerate(gammas):
-        if valid[gi] == 0:
-            raise NoValidPairs(f"no valid denominators at gamma={g}")
-        channel, states, kind = best_witness[gi]
-        bound = bound_hockey_stick(params.epsilon, g)
-        reports.append(
-            ContractionReport(
-                divergence_id="hockey",
-                epsilon=params.epsilon,
-                delta=params.delta,
-                gamma=g,
-                theory_bound=bound,
-                empirical_sup=float(best[gi]),
-                witness_states=states,
-                witness_channel=channel,
-                witness_kind=kind,
-                trials=trials,
-                violation=bool(best[gi] > bound + tol_scan),
-                relative_to="input_divergence",
-            )
-        )
-    return reports
+    return _scan_reports("hockey", params, gammas, dims, trials, seed, None, tol_scan)

@@ -23,7 +23,7 @@ from .errors import (
     QuadratureNotConverged,
     ValidationError,
 )
-from .quantum_core import DensityMatrix, hermitian_part
+from .quantum_core import DensityMatrix, _sqrt_psd, hermitian_part
 
 # Mass of rho outside supp(sigma) above this value makes D and D_max infinite.
 TOL_SUPP = 1e-9
@@ -75,11 +75,6 @@ def fidelity(rho, sigma) -> float:
 def bures_squared(rho, sigma) -> float:
     """Squared Bures distance 2 (1 - sqrt(F))."""
     return 2.0 * (1.0 - math.sqrt(fidelity(rho, sigma)))
-
-
-def _sqrt_psd(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(hermitian_part(m))
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
 def _positive_eigensum(m: np.ndarray) -> float:

@@ -94,10 +94,7 @@ def build_qldp_mechanism(effect, epsilon: float) -> KrausChannel:
     the boundary weight p = 2 / (e^eps + 1); the result satisfies the
     (epsilon, 0) constraint for every input dimension.
     """
-    if epsilon < 0.0:
-        raise InvalidParams(f"epsilon must be >= 0, got {epsilon}")
-    p = 2.0 / (math.exp(epsilon) + 1.0)
-    return compose(depolarizing_channel(2, p), measurement_channel_two_outcome(effect))
+    return build_eps_delta_mechanism(effect, PrivacyParams(epsilon))
 
 
 def build_eps_delta_mechanism(effect, params: PrivacyParams) -> KrausChannel:

@@ -336,7 +336,7 @@ def positive_part(a) -> np.ndarray:
 
 
 def _sqrt_psd(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
+    w, v = np.linalg.eigh(hermitian_part(m))
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 

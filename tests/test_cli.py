@@ -197,6 +197,16 @@ class TestHostileInput:
         code, text = run_cli(["reproduce", "contraction", "--config", cfg, "--out", out], capsys)
         assert code == 2 and text.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "field", [{"format": "xml"}, {"format": ["csv"]}, {"output_path": 5}]
+    )
+    def test_ill_typed_config_field_exits_two(self, tmp_path, monkeypatch, field, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_json(tmp_path / "cfg.json", {"trials": 10, **field})
+        code, text = run_cli(["reproduce", "sample_complexity", "--config", cfg], capsys)
+        assert code == 2 and text.startswith("error: ")
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
 
 class TestWorkerCount:
     """Parse-only: none of these starts a thread pool."""

@@ -14,6 +14,18 @@ from qpriv import quantum_core as qc
 LN3 = math.log(3.0)
 
 
+def witness_ratio(report, f=None):
+    """The ratio the report's stored witness channel and states attain."""
+    chan = report.witness_channel
+    a, b = report.witness_states
+    out_a, out_b = qc.apply(chan, a), qc.apply(chan, b)
+    if report.divergence_id == "hockey":
+        g = report.gamma
+        return dv.hockey_stick_extended(out_a, out_b, g) / dv.hockey_stick_extended(a, b, g)
+    assert report.divergence_id == "f_div" and report.relative_to == "input_divergence"
+    return dv.f_divergence(out_a, out_b, f) / dv.f_divergence(a, b, f)
+
+
 def extremal_trace_ratio(params, rho, sigma):
     """Ratio achieved by the built mechanism reading the optimal projector."""
     w, v = np.linalg.eigh(rho.entries - sigma.entries)
@@ -142,6 +154,11 @@ class TestScan:
         report = ct.scan("f_div", params, trials=120, seed=10, f=dv.kl_function())
         assert report.relative_to == "input_divergence"
         assert not report.violation
+        # a composite witness (pre- and post-processing around the mechanism)
+        # reproduces the reported ratio too
+        assert report.witness_kind == "random_composite"
+        ratio = witness_ratio(report, dv.kl_function())
+        assert ratio == pytest.approx(report.empirical_sup, abs=1e-9)
 
     def test_eps_delta_scan_attains_coefficient(self):
         params = privacy.PrivacyParams(1.0, 0.3)
@@ -174,6 +191,36 @@ class TestScan:
 
 
 class TestScanHockeyGrid:
+    @pytest.mark.parametrize("gamma, seed", [(0.7, 21), (1.0, 22), (2.0, 23)])
+    def test_one_point_grid_equals_scan(self, gamma, seed):
+        params = privacy.PrivacyParams(1.0, 0.0)
+        (grid_report,) = ct.scan_hockey_grid(params, [gamma], trials=700, seed=seed)
+        report = ct.scan("hockey", params, gamma, trials=700, seed=seed)
+        assert grid_report.to_dict() == report.to_dict()
+
+    def test_witnesses_reproduce_every_grid_ratio(self):
+        eps = 1.0
+        grid = np.geomspace(math.exp(-eps), math.exp(eps), 11)
+        reports = ct.scan_hockey_grid(privacy.PrivacyParams(eps), grid, trials=1500, seed=24)
+        for rep in reports:
+            assert witness_ratio(rep) == pytest.approx(rep.empirical_sup, abs=1e-9)
+
+    def test_one_witness_built_per_report(self, monkeypatch):
+        built = []
+        witness = ct._witness
+
+        def counting(*args):
+            built.append(args)
+            return witness(*args)
+
+        monkeypatch.setattr(ct, "_witness", counting)
+        params = privacy.PrivacyParams(1.0, 0.0)
+        grid = np.geomspace(math.exp(-1.0), math.exp(1.0), 11)
+        ct.scan_hockey_grid(params, grid, trials=3000, seed=25)
+        assert len(built) == 11
+        ct.scan("trace", params, trials=3000, seed=26)
+        assert len(built) == 12
+
     def test_grid_attains_and_never_violates(self):
         eps = 1.0
         params = privacy.PrivacyParams(eps, 0.0)
