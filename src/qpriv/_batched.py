@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .divergences import TOL_SUPP
+from .quantum_core import TOL_SUPP
 
 _ENT_FLOOR = 1e-18
 

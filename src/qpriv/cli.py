@@ -45,6 +45,22 @@ class _ParseError(Exception):
     """Input that cannot be read in the expected format (exit code 2)."""
 
 
+def _config_int(raw: dict, key: str, default: int) -> int:
+    """An integer config field; an integral float is accepted, a boolean is not."""
+    value = raw.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _ParseError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _set_tolerance(tolerances: dict, key: str, value) -> None:
+    if key != "tol_scan":  # the only tolerance that reproduce reads
+        raise _ParseError(f"unknown tolerance {key!r}; the only one is 'tol_scan'")
+    tolerances[key] = float(value)
+
+
 @dataclass
 class RunConfig:
     """Driver configuration; flags override JSON config file entries."""
@@ -62,13 +78,11 @@ class RunConfig:
             with open(args.config, encoding="utf-8") as fh:
                 try:
                     raw = json.load(fh)
-                    cfg.seed = int(raw.get("seed", cfg.seed))
-                    cfg.trials = int(raw.get("trials", cfg.trials))
-                    cfg.tolerances = {
-                        key: float(value)
-                        for key, value in dict(raw.get("tolerances", {})).items()
-                    }
-                except (ValueError, TypeError, AttributeError) as exc:
+                    cfg.seed = _config_int(raw, "seed", cfg.seed)
+                    cfg.trials = _config_int(raw, "trials", cfg.trials)
+                    for key, value in dict(raw.get("tolerances", {})).items():
+                        _set_tolerance(cfg.tolerances, key, value)
+                except (ValueError, TypeError, AttributeError, OverflowError) as exc:
                     raise _ParseError(f"cannot parse config file: {exc}") from None
             cfg.output_path = raw.get("output_path", cfg.output_path)
             cfg.format = raw.get("format", cfg.format)
@@ -87,11 +101,13 @@ class RunConfig:
         for item in args.tol or ():
             try:
                 key, value = item.split("=", 1)
-                cfg.tolerances[key] = float(value)
+                _set_tolerance(cfg.tolerances, key, value)
             except ValueError:
                 raise _ParseError(f"--tol expects KEY=NUMBER, got {item!r}") from None
         if cfg.trials < 1:
             raise ValidationError("trials must be >= 1")
+        if not math.isfinite(cfg.tol_scan):  # NaN would hide every violation
+            raise ValidationError("tol_scan must be finite")
         return cfg
 
     @property

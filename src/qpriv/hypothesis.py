@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .divergences import bures_squared, fidelity, trace_distance
 from .errors import (
@@ -155,15 +154,44 @@ def _combo_count(n: int, d: int) -> int:
     return math.comb(n + d - 1, d - 1)
 
 
+_SMALL_LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(16)])
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """ln k! for k = 0..n: ``math.lgamma`` below 16, Stirling's series from there.
+
+    ln k! = (k + 1/2) ln k - k + ln(2 pi)/2 + 1/(12k) - 1/(360k^3) + 1/(1260k^5)
+    - 1/(1680k^7); the first omitted term is below 1.2e-14 at k = 16. The
+    series is summed in place: each temporary is as long as the table, and
+    at large n fresh ones cost page faults.
+    """
+    lf = np.empty(n + 1)
+    lf[:16] = _SMALL_LOG_FACTORIALS[: n + 1]
+    k = np.arange(16.0, n + 1.0)
+    inv2 = 1.0 / (k * k)
+    series = np.full_like(k, -1.0 / 1680.0)
+    for c in (1.0 / 1260.0, -1.0 / 360.0, 1.0 / 12.0):  # Horner's rule in 1/k^2
+        series *= inv2
+        series += c
+    series /= k
+    series += 0.5 * math.log(2.0 * math.pi)
+    large = np.log(k, out=lf[16:])
+    large *= k + 0.5
+    large -= k
+    large += series
+    return lf
+
+
 def _pe_classical(p_out: np.ndarray, q_out: np.ndarray, p: float, q: float, n: int) -> float:
     """n-copy Helstrom error for commuting states via outcome-count enumeration."""
     d = p_out.shape[0]
     with np.errstate(divide="ignore"):
         lp = np.log(p_out)
         lq = np.log(q_out)
+    lf = _log_factorials(n)
     if d == 2:
         k = np.arange(n + 1, dtype=float)
-        log_binom = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+        log_binom = lf[n] - lf - lf[::-1]  # ln C(n, k) for k = 0..n
         counts = np.stack([n - k, k], axis=1)
     else:
         n_combos = _combo_count(n, d)
@@ -172,7 +200,7 @@ def _pe_classical(p_out: np.ndarray, q_out: np.ndarray, p: float, q: float, n: i
                 f"{n_combos} outcome-count vectors exceed the enumeration budget"
             )
         counts = _count_vectors(n, d)
-        log_binom = gammaln(n + 1.0) - gammaln(counts + 1.0).sum(axis=1)
+        log_binom = lf[n] - lf[counts.astype(np.intp)].sum(axis=1)
     with np.errstate(invalid="ignore"):
         log_p_mass = np.where(counts > 0, counts * lp[None, :], 0.0).sum(axis=1)
         log_q_mass = np.where(counts > 0, counts * lq[None, :], 0.0).sum(axis=1)

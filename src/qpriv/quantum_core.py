@@ -45,6 +45,9 @@ TOL_NORM = 1e-9
 # and states closer than this in trace distance count as indistinguishable.
 TOL_DENOM = 1e-8
 
+# Mass of rho outside supp(sigma) above this value makes D and D_max infinite.
+TOL_SUPP = 1e-9
+
 # Regularization weight for singular operands of the geometric mean.
 EPS_REG = 1e-10
 

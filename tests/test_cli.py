@@ -3,12 +3,17 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qpriv
 from qpriv import cli
 from qpriv import divergences as dv
+from qpriv import hypothesis as hyp
 from qpriv import privacy
 from qpriv import quantum_core as qc
 
@@ -185,7 +190,7 @@ class TestHostileInput:
         code, text = run_cli(["divergence", "trace", bad, state_files[1]], capsys)
         assert code == 2 and text.startswith("error: ")
 
-    @pytest.mark.parametrize("item", ["tol_scan=abc", "tol_scan"])
+    @pytest.mark.parametrize("item", ["tol_scan=abc", "tol_scan", "tol_sacn=5"])
     def test_unparsable_tolerance_exits_two(self, tmp_path, item, capsys):
         out = str(tmp_path / "t")
         code, text = run_cli(["reproduce", "contraction", "--out", out, "--tol", item], capsys)
@@ -198,7 +203,18 @@ class TestHostileInput:
         assert code == 2 and text.startswith("error: ")
 
     @pytest.mark.parametrize(
-        "field", [{"format": "xml"}, {"format": ["csv"]}, {"output_path": 5}]
+        "field",
+        [
+            {"format": "xml"},
+            {"format": ["csv"]},
+            {"output_path": 5},
+            {"trials": 2.9},
+            {"trials": True},
+            {"seed": True},
+            {"seed": 1.5},
+            {"seed": "3"},
+            {"tolerances": {"tol_sacn": 5}},
+        ],
     )
     def test_ill_typed_config_field_exits_two(self, tmp_path, monkeypatch, field, capsys):
         monkeypatch.chdir(tmp_path)
@@ -206,6 +222,37 @@ class TestHostileInput:
         code, text = run_cli(["reproduce", "sample_complexity", "--config", cfg], capsys)
         assert code == 2 and text.startswith("error: ")
         assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_integral_float_config_numbers_are_accepted(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", {"seed": 3.0, "trials": 10.0})
+        args = cli._build_parser().parse_args(["reproduce", "contraction", "--config", cfg])
+        parsed = cli.RunConfig.from_args(args)
+        assert (parsed.seed, parsed.trials) == (3, 10)
+        assert type(parsed.seed) is int and type(parsed.trials) is int
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_scan_exits_three(self, tmp_path, value, capsys):
+        out = str(tmp_path / "t")
+        code, text = run_cli(
+            ["reproduce", "contraction", "--out", out, "--tol", f"tol_scan={value}"], capsys
+        )
+        assert code == 3 and text.startswith("error: ")
+        assert not os.path.exists(out)
+
+    def test_non_finite_tol_scan_in_config_exits_three(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"trials": 10, "tolerances": {"tol_scan": NaN}}')
+        out = str(tmp_path / "t")
+        code, text = run_cli(["reproduce", "contraction", "--config", str(cfg), "--out", out],
+                             capsys)
+        assert code == 3 and text.startswith("error: ")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+    def test_non_finite_gamma_exits_three(self, state_files, gamma, capsys):
+        code, text = run_cli(["divergence", "hockey", *state_files, f"--gamma={gamma}"], capsys)
+        assert code == 3 and text.startswith("error: ")
+        assert "nan" not in text.lower() and "inf" not in text
 
 
 class TestWorkerCount:
@@ -233,3 +280,40 @@ class TestWorkerCount:
         out = str(tmp_path / "w")
         code, text = run_cli(["reproduce", "contraction", "--out", out], capsys)
         assert code == 2 and "QPRIV_THREADS" in text
+
+
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # every import of scipy or a submodule now fails
+import numpy as np
+from qpriv import cli, divergences as dv, hypothesis as hyp, quantum_core as qc
+
+code = cli.main(["reproduce", "all", "--trials", "50", "--seed", "1", "--out", sys.argv[1]])
+rho = qc.DensityMatrix(np.diag([0.5, 0.3, 0.2]))
+sigma = qc.DensityMatrix(np.diag([0.2, 0.3, 0.5]))
+kl = dv.f_divergence(rho, sigma, dv.kl_function())
+result = hyp.exact_sample_complexity(hyp.HypothesisInstance(rho, sigma, 0.5, 0.05))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m])
+print(json.dumps({"code": code, "kl": kl, "exact": result.exact,
+                  "method": result.method, "scipy": loaded}))
+"""
+
+
+class TestRuntimeWithoutScipy:
+    def test_cli_and_kernels_run_with_scipy_blocked(self, tmp_path):
+        src = str(Path(qpriv.__file__).resolve().parents[1])
+        env = {**os.environ, "QPRIV_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "tables"
+        proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(out)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report["code"] == 0 and report["scipy"] == []
+        assert sorted(os.listdir(out)) == [
+            "applications.csv", "contraction.csv", "sample_complexity.csv"]
+        rho = qc.DensityMatrix(np.diag([0.5, 0.3, 0.2]))
+        sigma = qc.DensityMatrix(np.diag([0.2, 0.3, 0.5]))
+        assert report["kl"] == pytest.approx(dv.relative_entropy(rho, sigma), abs=1e-9)
+        expected = hyp.exact_sample_complexity(hyp.HypothesisInstance(rho, sigma, 0.5, 0.05))
+        assert (report["exact"], report["method"]) == (expected.exact, expected.method)

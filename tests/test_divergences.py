@@ -75,6 +75,12 @@ class TestHockeyStick:
         with pytest.raises(errors.InvalidGamma):
             dv.hockey_stick(RHO, SIGMA, 0.5)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        for check in (dv.hockey_stick, dv.hockey_stick_extended, dv.skew_symmetry_check):
+            with pytest.raises(errors.InvalidGamma):
+                check(RHO, SIGMA, gamma)
+
     def test_agrees_with_trace_distance_at_one(self):
         rng = np.random.default_rng(6)
         for _ in range(30):
@@ -200,6 +206,58 @@ class TestFDivergence:
 
             single, _ = integrate.quad(integrand, -r2 - 1.0, r1, limit=300)
             assert two_term == pytest.approx(single, abs=1e-7)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_matches_scipy_quad_reference(self, dim):
+        """Adaptive Gauss-Legendre panels against scipy's quad, split at the
+        generalized eigenvalues of the pair from scipy's own solver."""
+        from scipy import integrate, linalg
+
+        rng = np.random.default_rng(100 + dim)
+        functions = (dv.kl_function(), dv.chi2_function(),
+                     dv.smoothed_tv_function(0.1), dv.smoothed_tv_function(0.01))
+        for _ in range(2):
+            rho, sigma = random_pair(rng, dim)
+            a, b = rho.entries, sigma.entries
+
+            def reference(f, x, y, weight):
+                rel = linalg.eigh(x, y, eigvals_only=True)
+                upper = math.log(rel[-1])
+                cuts = [0.0, *sorted(math.log(r) for r in rel if 1.0 < r < rel[-1]), upper]
+
+                def integrand(u):
+                    g = math.exp(u)
+                    w = np.linalg.eigvalsh(x - g * y)
+                    return weight(f, u) * float(np.sum(np.clip(w, 0.0, None)))
+
+                return sum(
+                    integrate.quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+                    for lo, hi in zip(cuts, cuts[1:])
+                )
+
+            for f in functions:
+                expected = reference(f, a, b, lambda f, u: f.f_pp(math.exp(u)) * math.exp(u))
+                expected += reference(
+                    f, b, a, lambda f, u: math.exp(-2.0 * u) * f.f_pp(math.exp(-u))
+                )
+                assert dv.f_divergence(rho, sigma, f) == pytest.approx(expected, abs=1e-9)
+
+    def test_unreachable_tolerance_raises_within_the_panel_budget(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        rho, sigma = random_pair(rng, 2)
+        evaluated = []
+        gauss_legendre = dv._gauss_legendre
+
+        def counted(integrand, lo, hi):
+            # Each panel is evaluated as two halves once, so under 3 * budget in all.
+            evaluated.append(lo.size)
+            assert sum(evaluated) <= 4 * dv.QUAD_PANEL_BUDGET, "panel budget ignored"
+            return gauss_legendre(integrand, lo, hi)
+
+        monkeypatch.setattr(dv, "_gauss_legendre", counted)
+        with pytest.raises(errors.QuadratureNotConverged):
+            dv.f_divergence(rho, sigma, dv.kl_function(), tol=1e-300)
+        assert sum(evaluated) > dv.QUAD_PANEL_BUDGET
 
     def test_convexity_validation(self):
         with pytest.raises(errors.ValidationError):

@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 from scipy.stats import binom
 
 from qpriv import divergences as dv
@@ -109,7 +108,8 @@ def loop_pe_classical(p_out, q_out, p, q, n):
         lp = np.log(p_out)
         lq = np.log(q_out)
     counts = loop_count_rows(n, p_out.shape[0])
-    log_binom = gammaln(n + 1.0) - gammaln(counts + 1.0).sum(axis=1)
+    lf = hyp._log_factorials(n)
+    log_binom = lf[n] - lf[counts.astype(int)].sum(axis=1)
     with np.errstate(invalid="ignore"):
         log_p_mass = np.where(counts > 0, counts * lp[None, :], 0.0).sum(axis=1)
         log_q_mass = np.where(counts > 0, counts * lq[None, :], 0.0).sum(axis=1)
@@ -325,6 +325,27 @@ class TestSchurWeyl:
             assert result.evaluations == math.log2(hyp.N_MAX_SCHUR) + 1
         with pytest.raises(errors.DimensionBudgetExceeded):
             hyp.helstrom_error_n(inst, hyp.N_MAX_SCHUR + 1)
+
+
+class TestLogFactorials:
+    def test_lgamma_below_sixteen(self):
+        lf = hyp._log_factorials(15)
+        assert lf.shape == (16,)
+        assert all(lf[k] == math.lgamma(k + 1.0) for k in range(16))
+
+    def test_stirling_series_matches_lgamma(self):
+        lf = hyp._log_factorials(100_000)
+        assert lf.shape == (100_001,)
+        ks = np.unique(np.concatenate([np.arange(16, 200), np.geomspace(200, 1e5, 400).astype(int)]))
+        for k in ks:
+            exact = math.lgamma(k + 1.0)
+            assert abs(lf[k] - exact) <= 1e-15 * exact, k
+
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17])
+    def test_table_length_at_the_seam(self, n):
+        lf = hyp._log_factorials(n)
+        assert lf.shape == (n + 1,)
+        assert lf[n] == pytest.approx(math.lgamma(n + 1.0), rel=1e-15, abs=0.0)
 
 
 class TestOutcomeCounts:
