@@ -138,61 +138,11 @@ def random_effects(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 
 def random_channel_batch(
     rng: np.random.Generator, n: int, dim_in: int, dim_out: int, kraus_count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked random CPTP maps; returns (kraus, transfer).
-
-    kraus has shape (n, kraus_count, dim_out, dim_in) and transfer
-    (n, dim_out^2, dim_in^2), row-major.
-    """
+) -> np.ndarray:
+    """Kraus operators of stacked random CPTP maps, shape (n, kraus_count, dim_out, dim_in)."""
     g = gaussian_complex(rng, (n, dim_out * kraus_count, dim_in))
     q, _ = np.linalg.qr(g)
-    kraus = q.reshape(n, kraus_count, dim_out, dim_in)
-    transfer = np.einsum("nkac,nkbd->nabcd", kraus, kraus.conj()).reshape(
-        n, dim_out * dim_out, dim_in * dim_in
-    )
-    return kraus, transfer
-
-
-# ---------------------------------------------------------------------------
-# Mechanism transfer matrices
-# ---------------------------------------------------------------------------
-
-
-def depolarizing_transfer(dim: int, p: float) -> np.ndarray:
-    eye_vec = np.eye(dim, dtype=complex).reshape(-1)
-    return (1.0 - p) * np.eye(dim * dim, dtype=complex) + (p / dim) * np.outer(
-        eye_vec, eye_vec
-    )
-
-
-def measurement_transfer_batch(effects: np.ndarray) -> np.ndarray:
-    """Transfer matrices of binary measurement channels for stacked effects.
-
-    effects: (n, d, d) with 0 <= M <= I. Output shape (n, 4, d^2): the row for
-    output entry (0,0) reads Tr[M w], the row for (1,1) reads Tr[(I-M) w].
-    """
-    n, d, _ = effects.shape
-    t = np.zeros((n, 4, d * d), dtype=complex)
-    eye_vec = np.eye(d, dtype=complex).reshape(-1)
-    m_vec = np.swapaxes(effects, -1, -2).reshape(n, d * d)
-    t[:, 0, :] = m_vec
-    t[:, 3, :] = eye_vec[None, :] - m_vec
-    return t
-
-
-def mechanism_transfer_batch(effects: np.ndarray, p: float) -> np.ndarray:
-    """Transfer of Dep_p composed after the binary readout of each effect."""
-    dep = depolarizing_transfer(2, p)
-    return np.einsum("ab,nbc->nac", dep, measurement_transfer_batch(effects))
-
-
-def apply_transfer(transfer: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Apply stacked transfer matrices (n, o^2, d^2) to states (n, d, d)."""
-    n = states.shape[0]
-    d2 = states.shape[-1] * states.shape[-2]
-    out = np.einsum("nab,nb->na", transfer, states.reshape(n, d2))
-    dout = int(round(np.sqrt(out.shape[-1])))
-    return out.reshape(n, dout, dout)
+    return q.reshape(n, kraus_count, dim_out, dim_in)
 
 
 def positive_eigenspace_projectors(ops: np.ndarray) -> np.ndarray:

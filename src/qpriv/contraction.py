@@ -39,7 +39,9 @@ class ContractionReport:
     denominator convention ("input_divergence" for same-divergence ratios,
     "input_trace_distance" for bounds stated against the input trace
     distance). ``violation`` flags an excess over ``theory_bound`` beyond the
-    scan tolerance; it is a finding, never an exception.
+    scan tolerance; it is a finding, never an exception. ``valid_pairs`` counts
+    the trials whose denominator reached ``TOL_DENOM`` with a finite numerator;
+    the other ``trials - valid_pairs`` were skipped.
     """
 
     divergence_id: str
@@ -52,6 +54,7 @@ class ContractionReport:
     witness_channel: KrausChannel
     witness_kind: str
     trials: int
+    valid_pairs: int
     violation: bool
     relative_to: str
 
@@ -67,6 +70,7 @@ class ContractionReport:
             "empirical_sup": self.empirical_sup,
             "witness_kind": self.witness_kind,
             "trials": self.trials,
+            "valid_pairs": self.valid_pairs,
             "violation": self.violation,
             "relative_to": self.relative_to,
         }
@@ -165,23 +169,36 @@ def _sample_chunk(rng: np.random.Generator, m: int, dim: int, p_mech: float) -> 
         effects[extremal] = bk.positive_eigenspace_projectors(
             in1[extremal] - in2[extremal]
         )
-    t_mech = bk.mechanism_transfer_batch(effects, p_mech)
+    pre_kraus = bk.random_channel_batch(rng, m, dim, dim, 2)
+    post_kraus = bk.random_channel_batch(rng, m, 2, 2, 2)
 
-    pre_kraus, pre_t = bk.random_channel_batch(rng, m, dim, dim, 2)
-    post_kraus, post_t = bk.random_channel_batch(rng, m, 2, 2, 2)
-    total = np.einsum("nab,nbc,ncd->nad", post_t, t_mech, pre_t)
-    total[extremal] = t_mech[extremal]
+    # Heisenberg picture: the readout sees only Tr[M pre(rho)] = Tr[E rho]
+    # with E = pre^dag(M), and post only the images P_i = post(|i><i|).
+    # Extremal pairs skip pre and post: E = M, P_i = |i><i|.
+    heis = np.sum(np.conj(np.swapaxes(pre_kraus, -1, -2)) @ effects[:, None] @ pre_kraus, axis=1)
+    heis[extremal] = effects[extremal]
+    images = np.einsum("nkai,nkbi->niab", post_kraus, post_kraus.conj())
+    images[extremal] = np.eye(2)[:, :, None] * np.eye(2)[:, None, :]
 
     return {
         "in1": in1,
         "in2": in2,
-        "out1": bk.apply_transfer(total, in1),
-        "out2": bk.apply_transfer(total, in2),
+        "out1": _mechanism_outputs(in1, heis, images, p_mech),
+        "out2": _mechanism_outputs(in2, heis, images, p_mech),
         "extremal": extremal,
         "effects": effects,
         "pre_kraus": pre_kraus,
         "post_kraus": post_kraus,
     }
+
+
+def _mechanism_outputs(states, heis, images, p_mech: float) -> np.ndarray:
+    """post(Dep_p(readout(pre(rho)))) as a P_0 + b P_1, from E and P_i."""
+    t = np.real(np.einsum("nij,nji->n", heis, states))
+    tr = np.real(np.trace(states, axis1=-2, axis2=-1))
+    a = (1.0 - p_mech) * t + 0.5 * p_mech * tr
+    b = (1.0 - p_mech) * (tr - t) + 0.5 * p_mech * tr
+    return a[:, None, None] * images[:, 0] + b[:, None, None] * images[:, 1]
 
 
 def _witness(pair: dict, params: PrivacyParams):
@@ -330,6 +347,7 @@ def _scan_reports(
                 witness_channel=channel,
                 witness_kind=kind,
                 trials=trials,
+                valid_pairs=n_valid,
                 violation=sup > bound + tol_scan,
                 relative_to=relative_to,
             )

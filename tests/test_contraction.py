@@ -113,6 +113,28 @@ class TestBoundFDivergence:
         assert ct.bound_f_divergence(params, dv.kl_function()) == pytest.approx(1.0)
 
 
+class TestSampleChunk:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    @pytest.mark.parametrize("delta", [0.0, 0.2])
+    def test_outputs_match_witness_channel(self, dim, delta):
+        """Heisenberg-picture outputs equal the dense channel applied to the inputs."""
+        params = privacy.PrivacyParams(1.0, delta)
+        p_mech = 2.0 * (1.0 - delta) / (math.e + 1.0)
+        data = ct._sample_chunk(np.random.default_rng(30 + dim), 60, dim, p_mech)
+        purity = np.real(np.einsum("nij,nji->n", data["in1"], data["in1"]))
+        assert np.any(purity < 1.0 - 1e-9)  # mixed pairs
+        assert np.any((purity > 1.0 - 1e-9) & ~data["extremal"])  # pure pairs
+        assert np.any(data["extremal"])
+        for i in range(60):
+            pair = {key: value[i] for key, value in data.items()}
+            channel, states, kind = ct._witness(pair, params)
+            assert kind == ("extremal_mechanism" if pair["extremal"] else "random_composite")
+            for state, out in zip(states, (pair["out1"], pair["out2"])):
+                np.testing.assert_allclose(
+                    out, qc.apply(channel, state).entries, rtol=0, atol=1e-12
+                )
+
+
 class TestScan:
     def test_trace_scan_attains_coefficient(self):
         params = privacy.PrivacyParams(LN3, 0.0)
@@ -197,6 +219,8 @@ class TestScanHockeyGrid:
         (grid_report,) = ct.scan_hockey_grid(params, [gamma], trials=700, seed=seed)
         report = ct.scan("hockey", params, gamma, trials=700, seed=seed)
         assert grid_report.to_dict() == report.to_dict()
+        assert grid_report.valid_pairs == report.valid_pairs
+        assert 0 < report.valid_pairs <= report.trials
 
     def test_witnesses_reproduce_every_grid_ratio(self):
         eps = 1.0
