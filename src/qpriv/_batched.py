@@ -89,11 +89,7 @@ def max_relative_entropy_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     w, v, on_support, _, outside = _support(x, y)
     inv_sqrt = np.where(on_support, 1.0 / np.sqrt(np.where(on_support, w, 1.0)), 0.0)
     s = np.einsum("...ik,...k,...jk->...ij", v, inv_sqrt, v.conj())
-    core = s @ x @ s
-    if core.shape[-1] == 2:
-        lam = eigvals_2x2_herm(core)[..., -1]
-    else:
-        lam = np.linalg.eigvalsh(core)[..., -1]
+    lam = np.linalg.eigvalsh(s @ x @ s)[..., -1]
     val = np.clip(np.log(np.clip(lam, 1e-300, None)), 0.0, None)
     return np.where(outside > TOL_SUPP, np.inf, val)
 

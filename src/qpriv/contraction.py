@@ -17,7 +17,7 @@ import numpy as np
 from . import _batched as bk
 from .divergences import ConvexFunction, f_divergence
 from .errors import GammaOutOfRange, InvalidParams, NoValidPairs, ValidationError
-from .privacy import PrivacyParams, build_eps_delta_mechanism
+from .privacy import PrivacyParams, build_eps_delta_mechanism, mechanism_weight
 from .quantum_core import TOL_DENOM, DensityMatrix, KrausChannel, as_rng, compose
 
 TOL_SCAN = 1e-6
@@ -304,7 +304,7 @@ def _scan_reports(
     are kept while sampling; each witness channel is built once, at the end.
     """
     theories = [_theory(divergence_id, params, g, f) for g in gammas]
-    p_mech = 2.0 * (1.0 - params.delta) / (math.exp(params.epsilon) + 1.0)
+    p_mech = mechanism_weight(params)
     rng = as_rng(seed)
 
     best = [-math.inf] * len(gammas)

@@ -119,7 +119,7 @@ class TestSampleChunk:
     def test_outputs_match_witness_channel(self, dim, delta):
         """Heisenberg-picture outputs equal the dense channel applied to the inputs."""
         params = privacy.PrivacyParams(1.0, delta)
-        p_mech = 2.0 * (1.0 - delta) / (math.e + 1.0)
+        p_mech = privacy.mechanism_weight(params)
         data = ct._sample_chunk(np.random.default_rng(30 + dim), 60, dim, p_mech)
         purity = np.real(np.einsum("nij,nji->n", data["in1"], data["in1"]))
         assert np.any(purity < 1.0 - 1e-9)  # mixed pairs

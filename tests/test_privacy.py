@@ -52,6 +52,11 @@ class TestBuildMechanism:
 
 
 class TestBuildEpsDeltaMechanism:
+    def test_mechanism_weight(self):
+        """p = 2 (1 - delta) / (e^eps + 1): 0.4 at (ln 3, 0.2)."""
+        assert privacy.mechanism_weight(privacy.PrivacyParams(LN3, 0.2)) == pytest.approx(0.4)
+        assert privacy.mechanism_weight(privacy.PrivacyParams(0.0, 0.0)) == 1.0
+
     def test_delta_zero_matches_pure_mechanism(self):
         params = privacy.PrivacyParams(1.2, 0.0)
         a = privacy.build_eps_delta_mechanism(PROJ0, params)
@@ -130,6 +135,11 @@ class TestEstimateEpsilon:
         chan = qc.replacement_channel(qc.DensityMatrix(np.eye(2) / 2))
         assert privacy.estimate_epsilon(chan, SMALL_BUDGET) == pytest.approx(0.0, abs=1e-10)
 
+    def test_pure_replacement_channel_is_zero(self):
+        """A pure output makes B(+z) = 0, where the ratio 0/0 must read 1."""
+        chan = qc.replacement_channel(qc.DensityMatrix(np.diag([0.0, 1.0])))
+        assert privacy.estimate_epsilon(chan, SMALL_BUDGET) == pytest.approx(0.0, abs=1e-10)
+
     def test_matches_two_outcome_ratio_oracle(self):
         """For Dep_p after a projector readout, the analytic level is ln(2/p - 1)."""
         for p in (0.3, 0.5, 0.8):
@@ -151,6 +161,104 @@ class TestEstimateEpsilon:
         eps = 0.8
         mech = privacy.build_qldp_mechanism(proj, eps)
         assert privacy.estimate_epsilon(mech) == pytest.approx(eps, abs=1e-6)
+
+
+def _qubit_output_channels():
+    """Seeded qubit-output channels: random maps, private composites and
+    readouts depolarized at 0.7 of the weight that epsilon = 1 needs."""
+    rng = np.random.default_rng(21)
+    p_under = 0.7 * privacy.mechanism_weight(privacy.PrivacyParams(1.0))
+    cases = []
+    for d in (2, 3, 4, 8, 16):
+        cases.append((f"random-{d}", qc.random_channel(d, 2, max(3, d // 2), rng)))
+        cases.append((
+            f"private-{d}",
+            privacy.random_private_channel(d, privacy.PrivacyParams(0.7, 0.05), rng),
+        ))
+        effect = qc.random_density_matrix(d, seed=rng).entries
+        effect = effect / np.linalg.eigvalsh(effect)[-1]
+        cases.append((
+            f"under-{d}",
+            qc.compose(
+                qc.depolarizing_channel(2, p_under), qc.measurement_channel_two_outcome(effect)
+            ),
+        ))
+    return cases
+
+
+QUBIT_OUTPUT = _qubit_output_channels()
+
+
+class TestBlochDual:
+    """The qubit-output route against the frame search and dense oracles."""
+
+    @pytest.mark.parametrize("name, chan", QUBIT_OUTPUT, ids=[c[0] for c in QUBIT_OUTPUT])
+    @pytest.mark.parametrize("epsilon", [0.4, 1.0])
+    def test_certify_matches_or_beats_search_and_witness_attains(self, name, chan, epsilon):
+        gamma = math.exp(epsilon)
+        result = privacy.certify(chan, privacy.PrivacyParams(epsilon), SMALL_BUDGET)
+        searched, _, _ = privacy._search_orthogonal_pairs(
+            chan, privacy._objective_hockey(chan.transfer, gamma), SMALL_BUDGET, 0
+        )
+        assert result.worst_value >= searched - 1e-12
+        a, b = (qc.apply(chan, s.to_density_matrix()) for s in result.witness_pair)
+        assert dv.hockey_stick(a, b, gamma) == pytest.approx(result.worst_value, abs=1e-12)
+
+    @pytest.mark.parametrize("name, chan", QUBIT_OUTPUT, ids=[c[0] for c in QUBIT_OUTPUT])
+    def test_estimate_matches_or_beats_search(self, name, chan):
+        searched, _, _ = privacy._search_orthogonal_pairs(
+            chan, privacy._objective_dmax(chan.transfer), SMALL_BUDGET, 0
+        )
+        assert privacy.estimate_epsilon(chan, SMALL_BUDGET) >= searched - 1e-12
+
+    def test_seed_is_unused(self):
+        chan = QUBIT_OUTPUT[7][1]
+        params = privacy.PrivacyParams(0.4)
+        a = privacy.certify(chan, params, SMALL_BUDGET, seed=0)
+        b = privacy.certify(chan, params, SMALL_BUDGET, seed=5)
+        assert (a.worst_value, a.iterations) == (b.worst_value, b.iterations)
+        assert privacy.estimate_epsilon(chan, seed=0) == privacy.estimate_epsilon(chan, seed=5)
+
+    def test_d16_plateau_is_rejected(self):
+        """The frame search stalls on the E_gamma = 0 plateau of an
+        under-depolarized d = 16 readout and reads 0; the dual finds the
+        positive value and rejects."""
+        chan = QUBIT_OUTPUT[-1][1]
+        params = privacy.PrivacyParams(1.0)
+        searched, _, _ = privacy._search_orthogonal_pairs(
+            chan, privacy._objective_hockey(chan.transfer, math.e), privacy.SearchBudget(), 0
+        )
+        assert searched <= 0.0
+        result = privacy.certify(chan, params)
+        assert result.worst_value > 0.1
+        assert not result.certified
+
+
+class TestHighEpsilon:
+    """No qubit-route value comes from out1 - gamma out2, so large gamma is harmless."""
+
+    @pytest.mark.parametrize("epsilon", [1.0, 20.0, 50.0, 300.0, 700.0])
+    def test_identity_rejected_with_value_at_most_one(self, epsilon):
+        ident = qc.KrausChannel((np.eye(2),))
+        result = privacy.certify(ident, privacy.PrivacyParams(epsilon), SMALL_BUDGET)
+        assert result.worst_value <= 1.0 + 1e-12
+        assert not result.certified
+
+    @pytest.mark.parametrize("epsilon", [1.0, 20.0, 50.0, 300.0, 700.0])
+    def test_mechanism_certified_at_its_own_epsilon(self, epsilon):
+        """Built at eps, the weight p/2 = 1/(e^eps + 1) is far below 1e-16 for
+        large eps; it must survive in B(+-z), or E_gamma reads 1."""
+        mech = privacy.build_qldp_mechanism(PROJ0, epsilon)
+        result = privacy.certify(mech, privacy.PrivacyParams(epsilon), SMALL_BUDGET)
+        assert result.certified
+        assert result.worst_value == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("epsilon", [1.0, 20.0, 50.0, 300.0, 700.0])
+    def test_pure_mechanism_certified_at_every_larger_epsilon(self, epsilon):
+        mech = privacy.build_qldp_mechanism(PROJ0, 1.0)
+        result = privacy.certify(mech, privacy.PrivacyParams(epsilon), SMALL_BUDGET)
+        assert result.certified
+        assert result.worst_value == pytest.approx(0.0, abs=1e-15)
 
 
 class TestPurifyDp:
