@@ -1,97 +1,133 @@
-"""Vectorized kernels shared by the certification search and the scanners.
+"""Vectorized kernels: every distinguishability measure in qpriv, and the sampled ensembles.
 
 Everything here operates on stacked arrays (leading batch axis) of small
-dense matrices and is deliberately free of per-item Python loops.
+dense matrices and is deliberately free of per-item Python loops. The
+scalar measures of :mod:`qpriv.divergences` are batches of one over these
+kernels, so each measure has a single implementation. Stacked 2 x 2
+Hermitians take closed-form eigenvalues that stay accurate at any scale:
+the small root never comes from cancellation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .quantum_core import TOL_SUPP
+from .quantum_core import TOL_SUPP, _sqrt_psd
 
 _ENT_FLOOR = 1e-18
 
 
 def eigvals_2x2_herm(m: np.ndarray) -> np.ndarray:
-    """Closed-form eigenvalues of stacked 2x2 Hermitian matrices, ascending."""
+    """Closed-form eigenvalues of stacked 2x2 Hermitian matrices, ascending.
+
+    The larger-magnitude root is mean + sign(mean) hypot((a - c) / 2, |b|);
+    the other is det / root, formed as a (c / root) - |b| (|b| / root) so
+    that neither cancellation nor the overflow of a c can reach it. Min and
+    max order the pair, which stays ascending even when rounding ties it.
+    """
     a = m[..., 0, 0].real
     c = m[..., 1, 1].real
-    b = m[..., 0, 1]
+    b = np.abs(m[..., 0, 1])
     mean = 0.5 * (a + c)
-    disc = np.sqrt(np.clip((0.5 * (a - c)) ** 2 + np.abs(b) ** 2, 0.0, None))
-    return np.stack([mean - disc, mean + disc], axis=-1)
+    big = mean + np.copysign(np.hypot(0.5 * (a - c), b), mean)
+    safe = np.where(big == 0.0, 1.0, big)  # big is 0 only for the zero matrix
+    small = a * (c / safe) - b * (b / safe)
+    out = np.empty(big.shape + (2,))  # filled in place: np.stack costs more than the roots
+    np.minimum(small, big, out=out[..., 0])
+    np.maximum(small, big, out=out[..., 1])
+    return out
+
+
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    return eigvals_2x2_herm(m) if m.shape[-1] == 2 else np.linalg.eigvalsh(m)
 
 
 def positive_eigensum(m: np.ndarray) -> np.ndarray:
     """Trace of the positive part of stacked Hermitian matrices."""
-    if m.shape[-1] == 2:
-        w = eigvals_2x2_herm(m)
-    else:
-        w = np.linalg.eigvalsh(m)
-    return np.sum(np.clip(w, 0.0, None), axis=-1)
+    return np.sum(np.maximum(_eigvalsh(m), 0.0), axis=-1)
 
 
 def trace_distance_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    d = x - y
-    if d.shape[-1] == 2:
-        w = eigvals_2x2_herm(d)
-    else:
-        w = np.linalg.eigvalsh(d)
-    return 0.5 * np.sum(np.abs(w), axis=-1)
+    return 0.5 * np.sum(np.abs(_eigvalsh(x - y)), axis=-1)
 
 
 def hockey_stick_ext_batch(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
     return positive_eigensum(x - gamma * y) - max(0.0, 1.0 - gamma)
 
 
-def fidelity_qubit_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Fidelity of stacked 2x2 states: Tr[xy] + 2 sqrt(det x det y)."""
-    tr = np.real(np.einsum("...ij,...ji->...", x, y))
-    det_x = np.clip(np.real(np.linalg.det(x)), 0.0, None)
-    det_y = np.clip(np.real(np.linalg.det(y)), 0.0, None)
-    f = tr + 2.0 * np.sqrt(det_x * det_y)
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def fidelity_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Uhlmann fidelity || sqrt(x) sqrt(y) ||_1^2 of stacked states, clamped to [0, 1].
+
+    Qubit pairs take the closed form Tr[xy] + 2 sqrt(det x det y).
+    """
+    if x.shape[-1] == 2:
+        tr = np.real(np.einsum("...ij,...ji->...", x, y))
+        det_x = np.maximum(np.linalg.det(x).real, 0.0)
+        det_y = np.maximum(np.linalg.det(y).real, 0.0)
+        f = tr + 2.0 * np.sqrt(det_x * det_y)
+    else:
+        f = np.sum(np.linalg.svd(_sqrt_psd(x) @ _sqrt_psd(y), compute_uv=False), axis=-1) ** 2
     return np.clip(f, 0.0, 1.0)
 
 
-def bures_squared_qubit_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return 2.0 * (1.0 - np.sqrt(fidelity_qubit_batch(x, y)))
+def bures_squared_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared Bures distance 2 (1 - sqrt(F)) of stacked states."""
+    return 2.0 * (1.0 - np.sqrt(fidelity_batch(x, y)))
 
 
 def _support(x: np.ndarray, y: np.ndarray):
     """Support data shared by the entropies of stacked x relative to y.
 
     Returns y's clipped spectrum and eigenbasis, the mask of eigenvalues above
-    the support cutoff, x's weight on each eigenvector of y, and x's total
-    weight outside supp(y).
+    the support cutoff, x's weight on each eigenvector of y, and the mask of
+    pairs where x has weight above ``TOL_SUPP`` outside supp(y).
     """
     w, v = np.linalg.eigh(y)
-    w = np.clip(w, 0.0, None)
-    cutoff = TOL_SUPP * np.clip(w[..., -1:], 1e-300, None)
-    on_support = w > cutoff
-    overlaps = np.clip(np.real(np.einsum("...ji,...jk,...ki->...i", v.conj(), x, v)), 0.0, None)
-    outside = np.sum(np.where(on_support, 0.0, overlaps), axis=-1)
-    return w, v, on_support, overlaps, outside
+    w = np.maximum(w, 0.0)
+    on_support = w > TOL_SUPP * np.maximum(w[..., -1:], 1e-300)
+    overlaps = np.maximum(np.sum(v.conj() * (x @ v), axis=-2).real, 0.0)
+    outside = np.sum(overlaps, axis=-1, where=~on_support)
+    return w, v, on_support, overlaps, outside > TOL_SUPP
 
 
 def relative_entropy_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Relative entropy of stacked state pairs; inf on support violation."""
-    w, _, on_support, overlaps, outside = _support(x, y)
-    mu = np.clip(np.linalg.eigvalsh(x), 0.0, None)
-    ent = np.sum(np.where(mu > _ENT_FLOOR, mu * np.log(np.clip(mu, _ENT_FLOOR, None)), 0.0), axis=-1)
-    logw = np.log(np.where(on_support, np.clip(w, 1e-300, None), 1.0))
-    cross = np.sum(np.where(on_support, overlaps * logw, 0.0), axis=-1)
-    return np.where(outside > TOL_SUPP, np.inf, ent - cross)
+    w, _, on_support, overlaps, violated = _support(x, y)
+    if violated.all():
+        return np.full(violated.shape, np.inf)
+    mu = np.linalg.eigvalsh(x)
+    ent = np.sum(mu * np.log(np.where(mu > _ENT_FLOOR, mu, 1.0)), axis=-1)
+    cross = np.sum(overlaps * np.log(np.where(on_support, w, 1.0)), axis=-1)
+    return np.where(violated, np.inf, ent - cross)
+
+
+def relative_spectrum(x: np.ndarray, y: np.ndarray, skip_if_outside: bool = False):
+    """Spectrum of y^{-1/2} x y^{-1/2} on supp(y), ascending, and D_max(x || y), of stacked pairs.
+
+    The eigenvalues are the gammas at which an eigenvalue of x - gamma y
+    crosses zero, so their logs are the kinks of the hockey-stick integrand.
+    D_max is the log of the largest, floored at 0, and inf where x has
+    weight above ``TOL_SUPP`` outside supp(y). With ``skip_if_outside`` the
+    spectrum is None when every pair has such weight.
+    """
+    w, v, on_support, _, violated = _support(x, y)
+    if skip_if_outside and violated.all():
+        return None, np.full(violated.shape, np.inf)
+    inv_sqrt = np.where(on_support, 1.0 / np.sqrt(np.where(on_support, w, 1.0)), 0.0)
+    s = (v * inv_sqrt[..., None, :]) @ _adjoint(v)
+    m = s @ x @ s
+    rel = np.linalg.eigvalsh(0.5 * (m + _adjoint(m)))
+    dmax = np.maximum(np.log(np.maximum(rel[..., -1], 1e-300)), 0.0)
+    return rel, np.where(violated, np.inf, dmax)
 
 
 def max_relative_entropy_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Max-relative entropy of stacked state pairs; inf on support violation."""
-    w, v, on_support, _, outside = _support(x, y)
-    inv_sqrt = np.where(on_support, 1.0 / np.sqrt(np.where(on_support, w, 1.0)), 0.0)
-    s = np.einsum("...ik,...k,...jk->...ij", v, inv_sqrt, v.conj())
-    lam = np.linalg.eigvalsh(s @ x @ s)[..., -1]
-    val = np.clip(np.log(np.clip(lam, 1e-300, None)), 0.0, None)
-    return np.where(outside > TOL_SUPP, np.inf, val)
+    return relative_spectrum(x, y, skip_if_outside=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +142,7 @@ def gaussian_complex(rng: np.random.Generator, shape) -> np.ndarray:
 def ginibre_states(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     """Stacked full-rank Ginibre-induced random states, shape (n, dim, dim)."""
     g = gaussian_complex(rng, (n, dim, dim))
-    m = g @ np.conj(np.swapaxes(g, -1, -2))
+    m = g @ _adjoint(g)
     tr = np.real(np.trace(m, axis1=-2, axis2=-1))[:, None, None]
     return m / tr
 

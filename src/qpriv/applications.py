@@ -102,7 +102,7 @@ def fairness_certificate(
     for _ in range(pairs):
         rho = bk.ginibre_states(rng, 1, dim)[0]
         sigma = bk.ginibre_states(rng, 1, dim)[0]
-        t0 = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
+        t0 = float(bk.trace_distance_batch(rho[None], sigma[None])[0])
         if t0 > alpha_bound:
             t = float(rng.uniform(0.0, 1.0)) * alpha_bound / t0
             sigma = (1.0 - t) * rho + t * sigma

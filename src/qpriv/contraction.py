@@ -232,7 +232,7 @@ def _numden(divergence_id: str, data: dict, gamma, f, delta: float):
         return num, den
     if divergence_id == "bures":
         return (
-            bk.bures_squared_qubit_batch(out1, out2),
+            bk.bures_squared_batch(out1, out2),
             bk.trace_distance_batch(in1, in2),
         )
     if divergence_id == "relent":

@@ -5,7 +5,11 @@ the extension to gamma < 1), relative and max-relative entropies, and the
 integral-form f-divergence. Every measure here satisfies the data-processing
 inequality, which downstream modules quantify under privacy constraints.
 
-All logarithms are natural.
+Each function validates its arguments and then evaluates the stacked kernel
+of :mod:`qpriv._batched` on the pair as a batch of one, so a measure has one
+implementation whether it is asked for one pair or a thousand; the
+f-divergence integrates that module's hockey-stick kernel. All logarithms
+are natural.
 """
 
 from __future__ import annotations
@@ -16,13 +20,14 @@ from typing import Callable
 
 import numpy as np
 
+from . import _batched as bk
 from .errors import (
     DimensionMismatch,
     InvalidGamma,
     QuadratureNotConverged,
     ValidationError,
 )
-from .quantum_core import TOL_SUPP, DensityMatrix, _sqrt_psd, hermitian_part
+from .quantum_core import DensityMatrix, hermitian_part
 
 # Adaptive-quadrature target for f-divergences, with a hard panel budget.
 TOL_QUAD = 1e-7
@@ -30,8 +35,6 @@ QUAD_PANEL_BUDGET = 10_000
 
 # Integration cap in log-gamma; hockey-stick tails beyond exp(50) are ignored.
 LOG_GAMMA_CAP = 50.0
-
-_EIG_FLOOR = 1e-18
 
 # The quadrature rule of every panel, the widest initial panel in log-gamma,
 # and the most nodes (so stacked integrand matrices) per integrand call.
@@ -46,7 +49,7 @@ def _mat(state, name: str = "state") -> np.ndarray:
     m = np.asarray(state, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{name} must be a square matrix")
-    return m
+    return hermitian_part(m)
 
 
 def _pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
@@ -57,31 +60,25 @@ def _pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _one(kernel, rho, sigma, *args) -> float:
+    """``kernel`` of :mod:`qpriv._batched` on the pair as a batch of one."""
+    a, b = _pair(rho, sigma)
+    return float(kernel(a[None], b[None], *args)[0])
+
+
 def trace_distance(rho, sigma) -> float:
     """Normalized trace distance (1/2) || rho - sigma ||_1."""
-    a, b = _pair(rho, sigma)
-    w = np.linalg.eigvalsh(hermitian_part(a - b))
-    return 0.5 * float(np.sum(np.abs(w)))
+    return _one(bk.trace_distance_batch, rho, sigma)
 
 
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity || sqrt(rho) sqrt(sigma) ||_1^2, clamped to [0, 1]."""
-    a, b = _pair(rho, sigma)
-    sa = _sqrt_psd(a)
-    sb = _sqrt_psd(b)
-    sv = np.linalg.svd(sa @ sb, compute_uv=False)
-    f = float(np.sum(sv)) ** 2
-    return min(max(f, 0.0), 1.0)
+    return _one(bk.fidelity_batch, rho, sigma)
 
 
 def bures_squared(rho, sigma) -> float:
     """Squared Bures distance 2 (1 - sqrt(F))."""
-    return 2.0 * (1.0 - math.sqrt(fidelity(rho, sigma)))
-
-
-def _positive_eigensum(m: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(hermitian_part(m))
-    return float(np.sum(w[w > 0.0]))
+    return _one(bk.bures_squared_batch, rho, sigma)
 
 
 def _require_finite(gamma: float) -> None:
@@ -95,7 +92,7 @@ def hockey_stick(rho, sigma, gamma: float) -> float:
     if gamma < 1.0 - 1e-12:
         raise InvalidGamma(f"hockey_stick needs gamma >= 1, got {gamma}")
     a, b = _pair(rho, sigma)
-    return _positive_eigensum(a - gamma * b)
+    return float(bk.positive_eigensum((a - gamma * b)[None])[0])
 
 
 def hockey_stick_extended(rho, sigma, gamma: float) -> float:
@@ -109,8 +106,7 @@ def hockey_stick_extended(rho, sigma, gamma: float) -> float:
     _require_finite(gamma)
     if gamma < 0.0:
         raise InvalidGamma(f"extended hockey-stick needs gamma >= 0, got {gamma}")
-    a, b = _pair(rho, sigma)
-    return _positive_eigensum(a - gamma * b) - max(0.0, 1.0 - gamma)
+    return _one(bk.hockey_stick_ext_batch, rho, sigma, gamma)
 
 
 def skew_symmetry_check(rho, sigma, gamma: float) -> tuple[float, float]:
@@ -123,52 +119,13 @@ def skew_symmetry_check(rho, sigma, gamma: float) -> tuple[float, float]:
     return lhs, rhs
 
 
-def _support_data(a: np.ndarray, b: np.ndarray):
-    """b's clipped spectrum, eigenbasis and support mask, a's clipped weight on
-    each eigenvector of b, and a's total weight outside supp(b)."""
-    w, v = np.linalg.eigh(hermitian_part(b))
-    w = np.clip(w, 0.0, None)
-    on_support = w > TOL_SUPP * max(float(w[-1]), 1e-300)
-    overlaps = np.clip(np.real(np.einsum("ji,jk,ki->i", v.conj(), a, v)), 0.0, None)
-    return w, v, on_support, overlaps, float(np.sum(overlaps[~on_support]))
-
-
 def relative_entropy(rho, sigma) -> float:
     """Quantum relative entropy Tr[rho (log rho - log sigma)], natural log.
 
     Returns +inf when rho carries mass above ``TOL_SUPP`` outside the support
     of sigma.
     """
-    a, b = _pair(rho, sigma)
-    w, _, on_support, overlaps, outside = _support_data(a, b)
-    if outside > TOL_SUPP:
-        return math.inf
-    mu = np.clip(np.linalg.eigvalsh(hermitian_part(a)), 0.0, None)
-    ent = float(np.sum(mu[mu > _EIG_FLOOR] * np.log(mu[mu > _EIG_FLOOR])))
-    cross = float(np.sum(overlaps[on_support] * np.log(w[on_support])))
-    return ent - cross
-
-
-def _relative_spectrum(a: np.ndarray, b: np.ndarray, skip_if_outside: bool = False):
-    """Spectrum of b^{-1/2} a b^{-1/2} on supp(b), ascending, and a's mass outside supp(b).
-
-    The eigenvalues are the gammas at which an eigenvalue of a - gamma b
-    crosses zero, so their logs are the kinks of the hockey-stick integrand.
-    With ``skip_if_outside`` the spectrum is None when that mass exceeds
-    ``TOL_SUPP``, which already makes D_max infinite.
-    """
-    w, v, on_support, _, outside = _support_data(a, b)
-    if skip_if_outside and outside > TOL_SUPP:
-        return None, outside
-    inv_sqrt = np.where(on_support, 1.0 / np.sqrt(np.where(on_support, w, 1.0)), 0.0)
-    s = (v * inv_sqrt) @ v.conj().T
-    return np.linalg.eigvalsh(hermitian_part(s @ a @ s)), outside
-
-
-def _dmax(rel: np.ndarray, outside: float) -> float:
-    if outside > TOL_SUPP:
-        return math.inf
-    return max(math.log(max(float(rel[-1]), 1e-300)), 0.0)
+    return _one(bk.relative_entropy_batch, rho, sigma)
 
 
 def max_relative_entropy(rho, sigma) -> float:
@@ -178,7 +135,7 @@ def max_relative_entropy(rho, sigma) -> float:
     sigma^{-1/2} rho sigma^{-1/2} restricted to supp(sigma); +inf when the
     support condition fails.
     """
-    return _dmax(*_relative_spectrum(*_pair(rho, sigma), skip_if_outside=True))
+    return _one(bk.max_relative_entropy_batch, rho, sigma)
 
 
 @dataclass(frozen=True)
@@ -296,13 +253,6 @@ def _quad_log_domain(integrand, upper: float, tol: float, kinks=()) -> float:
     return total
 
 
-def _positive_eigensums(x: np.ndarray, y: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """Tr[(x - g y)_+] for each g in gammas, by LAPACK: the closed 2 x 2 form of
-    ``_batched`` loses the small eigenvalue to cancellation at large g."""
-    w = np.linalg.eigvalsh(x - gammas[:, None, None] * y)
-    return np.sum(np.clip(w, 0.0, None), axis=-1)
-
-
 def f_divergence(rho, sigma, f: ConvexFunction, tol: float = TOL_QUAD) -> float:
     """Quantum f-divergence through its hockey-stick integral form.
 
@@ -312,18 +262,18 @@ def f_divergence(rho, sigma, f: ConvexFunction, tol: float = TOL_QUAD) -> float:
 
     in the log-gamma domain by adaptive Gauss-Legendre panels
     (:func:`_quad_log_domain`) to within ``tol`` per integral. The panels
-    are cut at the log relative eigenvalues of the pair, where the
-    hockey-stick terms have kinks, so the integrand is analytic on each.
+    are cut at the log relative eigenvalues of the pair
+    (:func:`qpriv._batched.relative_spectrum`), where the hockey-stick terms
+    have kinks, so the integrand is analytic on each.
     Each integral is truncated where its hockey-stick term vanishes, at
     gamma equal to the exponential of the corresponding max-relative
     entropy, and at most at ``LOG_GAMMA_CAP``. Returns +inf when either
     max-relative entropy is infinite and ``f`` grows superlinearly.
     """
     a, b = _pair(rho, sigma)
-    rel1, outside1 = _relative_spectrum(a, b, f.growth_superlinear)
-    rel2, outside2 = _relative_spectrum(b, a, f.growth_superlinear)
-    r1 = _dmax(rel1, outside1)
-    r2 = _dmax(rel2, outside2)
+    rel1, r1 = bk.relative_spectrum(a[None], b[None], f.growth_superlinear)
+    rel2, r2 = bk.relative_spectrum(b[None], a[None], f.growth_superlinear)
+    r1, r2 = float(r1[0]), float(r2[0])
     if (math.isinf(r1) or math.isinf(r2)) and f.growth_superlinear:
         return math.inf
 
@@ -331,12 +281,13 @@ def f_divergence(rho, sigma, f: ConvexFunction, tol: float = TOL_QUAD) -> float:
 
     def g1(u: np.ndarray) -> np.ndarray:
         gamma = np.exp(u)
-        return f_pp(gamma) * _positive_eigensums(a, b, gamma) * gamma
+        return f_pp(gamma) * bk.positive_eigensum(a - gamma[:, None, None] * b) * gamma
 
     def g2(u: np.ndarray) -> np.ndarray:
-        gamma = np.exp(u)
-        return np.exp(-2.0 * u) * f_pp(np.exp(-u)) * _positive_eigensums(b, a, gamma)
+        gamma = np.exp(u)[:, None, None]
+        return np.exp(-2.0 * u) * f_pp(np.exp(-u)) * bk.positive_eigensum(b - gamma * a)
 
+    rel1, rel2 = rel1[0], rel2[0]
     part1 = _quad_log_domain(g1, min(r1, LOG_GAMMA_CAP), tol, np.log(rel1[rel1 > 1e-300]))
     part2 = _quad_log_domain(g2, min(r2, LOG_GAMMA_CAP), tol, np.log(rel2[rel2 > 1e-300]))
     return part1 + part2

@@ -105,9 +105,7 @@ class SampleComplexityResult:
 
 def helstrom_error(inst: HypothesisInstance) -> float:
     """Optimal single-copy error (1/2) (1 - || p rho - q sigma ||_1)."""
-    m = inst.prior_p * inst.rho.entries - inst.prior_q * inst.sigma.entries
-    nuc = float(np.sum(np.abs(np.linalg.eigvalsh(hermitian_part(m)))))
-    return 0.5 * (1.0 - nuc)
+    return _pe_dense(inst.rho, inst.sigma, inst.prior_p, inst.prior_q, 1)
 
 
 def _simultaneous_diagonalization(rho_m: np.ndarray, sigma_m: np.ndarray):

@@ -5,8 +5,9 @@ sup_{rho, sigma} E_{e^eps}(A(rho) || A(sigma)) <= delta, and the supremum may
 be restricted to orthogonal pure input pairs. Mechanisms built here compose a
 binary effect readout with a depolarizing channel.
 
-Certification and the epsilon estimate take one of two routes, chosen by the
-output dimension alone:
+Certification and the epsilon estimate answer 0 for a channel with a
+one-dimensional input, which has no orthogonal input pair. Any other channel
+takes one of two routes, chosen by the output dimension alone:
 
 * qubit output: the dual form on the Bloch sphere. For gamma >= 1 the
   supremum is max(0, max_n lambda_max(B(n)) - gamma lambda_min(B(n))) with
@@ -298,6 +299,26 @@ def _bloch_ascent(channel: KrausChannel, budget: SearchBudget, gamma: float | No
     return float(value[best]), top[best], bottom[best], evals
 
 
+def _worst_pair(channel: KrausChannel, budget: SearchBudget, seed, gamma: float | None = None):
+    """The route shared by :func:`certify` (with ``gamma``) and :func:`estimate_epsilon`.
+
+    Returns the worst value, attained by the returned input vectors, and the
+    evaluation count. With ``gamma`` the value is the hockey-stick objective;
+    without it, the max-relative entropy. A one-dimensional input has no
+    orthogonal pair, so every objective is 0 there.
+    """
+    if channel.dim_in == 1:
+        one = np.ones(1, dtype=complex)
+        return 0.0, one, one, 0
+    if channel.dim_out == 2:
+        value, first, second, evals = _bloch_ascent(channel, budget, gamma)
+        return (value if gamma is not None else math.log(value)), first, second, evals
+    transfer = channel.transfer
+    objective = _objective_dmax(transfer) if gamma is None else _objective_hockey(transfer, gamma)
+    value, frame, evals = _search_orthogonal_pairs(channel, objective, budget, seed)
+    return value, frame[:, 0], frame[:, 1], evals
+
+
 def certify(
     channel: KrausChannel,
     params: PrivacyParams,
@@ -312,17 +333,13 @@ def certify(
     dual (:func:`_bloch_ascent`): ``iterations`` counts its eigenproblems and
     ``seed`` is unused. Wider outputs take the frame search, seeded by
     ``seed``, and ``iterations`` counts its frame evaluations. On both
-    routes ``search_budget`` sets the start count and the step cap.
+    routes ``search_budget`` sets the start count and the step cap. A
+    channel with a one-dimensional input has no orthogonal input pair and is
+    certified with worst value 0 and no evaluations.
     """
-    budget = search_budget or SearchBudget()
-    gamma = math.exp(params.epsilon)
-    if channel.dim_out == 2:
-        value, first, second, evals = _bloch_ascent(channel, budget, gamma)
-    else:
-        value, frame, evals = _search_orthogonal_pairs(
-            channel, _objective_hockey(channel.transfer, gamma), budget, seed
-        )
-        first, second = frame[:, 0], frame[:, 1]
+    value, first, second, evals = _worst_pair(
+        channel, search_budget or SearchBudget(), seed, math.exp(params.epsilon)
+    )
     worst = max(value, 0.0)
     return CertificationResult(
         certified=worst <= params.delta + TOL_CERT,
@@ -344,15 +361,9 @@ def estimate_epsilon(
     A qubit-output channel takes the Bloch-sphere dual, where the level is
     ln(lambda_max / lambda_min) of B(n) and ``seed`` is unused; wider outputs
     take the frame search seeded by ``seed``. ``search_budget`` works as in
-    :func:`certify`.
+    :func:`certify`, and a one-dimensional input gives 0 there too.
     """
-    budget = search_budget or SearchBudget()
-    if channel.dim_out == 2:
-        value = math.log(_bloch_ascent(channel, budget)[0])
-    else:
-        value, _, _ = _search_orthogonal_pairs(
-            channel, _objective_dmax(channel.transfer), budget, seed
-        )
+    value = _worst_pair(channel, search_budget or SearchBudget(), seed)[0]
     if value > EPSILON_CAP:
         return math.inf
     return max(value, 0.0)

@@ -339,8 +339,9 @@ def positive_part(a) -> np.ndarray:
 
 
 def _sqrt_psd(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(hermitian_part(m))
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    """Square root of a Hermitian PSD matrix, or of each in a stack."""
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
 def _inv_sqrt_psd(m: np.ndarray) -> np.ndarray:

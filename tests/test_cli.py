@@ -76,6 +76,18 @@ class TestCertifyCommand:
     def test_missing_file_exits_two(self, tmp_path):
         assert cli.main(["certify", str(tmp_path / "nope.json"), "--epsilon", "1"]) == 2
 
+    @pytest.mark.parametrize("dim_out", [2, 3])
+    def test_one_dimensional_input_certifies(self, tmp_path, dim_out):
+        path = tmp_path / "one.json"
+        qc.save_channel(qc.KrausChannel((np.eye(dim_out, 1),)), path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpriv.cli", "certify", str(path), "--epsilon", "1", "--budget", "4"],
+            capture_output=True, text=True, env=_env_with_src(), timeout=120,
+        )
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["certified"] is True and report["worst_value"] == 0.0
+
 
 class TestReproduceCommand:
     def test_contraction_deterministic_bytes(self, tmp_path):
@@ -299,11 +311,16 @@ print(json.dumps({"code": code, "kl": kl, "exact": result.exact,
 """
 
 
+def _env_with_src() -> dict:
+    """The environment of a child interpreter that imports this checkout's qpriv."""
+    src = str(Path(qpriv.__file__).resolve().parents[1])
+    return {**os.environ, "QPRIV_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestRuntimeWithoutScipy:
     def test_cli_and_kernels_run_with_scipy_blocked(self, tmp_path):
-        src = str(Path(qpriv.__file__).resolve().parents[1])
-        env = {**os.environ, "QPRIV_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = _env_with_src()
         out = tmp_path / "tables"
         proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(out)],
                               capture_output=True, text=True, env=env, timeout=300)

@@ -130,6 +130,26 @@ class TestCertify:
             assert result.worst_value <= delta + 1e-8
 
 
+def _one_dimensional_input(dim_out):
+    """The channel 1 -> |0><0| on a dim_out-level output, as one Kraus column."""
+    return qc.KrausChannel((np.eye(dim_out, 1),))
+
+
+class TestOneDimensionalInput:
+    """No orthogonal input pair exists, so both routes answer 0 without searching."""
+
+    @pytest.mark.parametrize("dim_out", [2, 3])
+    def test_certified_with_worst_value_zero(self, dim_out):
+        chan = _one_dimensional_input(dim_out)
+        result = privacy.certify(chan, privacy.PrivacyParams(1.0, 0.0), SMALL_BUDGET)
+        assert result.certified
+        assert result.worst_value == 0.0 and result.iterations == 0
+
+    @pytest.mark.parametrize("dim_out", [2, 3])
+    def test_epsilon_is_zero(self, dim_out):
+        assert privacy.estimate_epsilon(_one_dimensional_input(dim_out), SMALL_BUDGET) == 0.0
+
+
 class TestEstimateEpsilon:
     def test_replacement_channel_is_zero(self):
         chan = qc.replacement_channel(qc.DensityMatrix(np.eye(2) / 2))
