@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _batched as bk
-from .divergences import ConvexFunction, f_divergence
+from .divergences import ConvexFunction
 from .errors import GammaOutOfRange, InvalidParams, NoValidPairs, ValidationError
 from .privacy import PrivacyParams, build_eps_delta_mechanism, mechanism_weight
 from .quantum_core import TOL_DENOM, DensityMatrix, KrausChannel, as_rng, compose
@@ -215,39 +215,17 @@ def _witness(pair: dict, params: PrivacyParams):
     return channel, states, kind
 
 
-def _loop_f_divergence(states1, states2, f: ConvexFunction) -> np.ndarray:
-    values = np.empty(states1.shape[0])
-    for i in range(states1.shape[0]):
-        values[i] = f_divergence(states1[i], states2[i], f)
-    return values
-
-
 def _numden(divergence_id: str, data: dict, gamma, f, delta: float):
-    out1, out2, in1, in2 = data["out1"], data["out2"], data["in1"], data["in2"]
-    if divergence_id == "trace":
-        return bk.trace_distance_batch(out1, out2), bk.trace_distance_batch(in1, in2)
+    """The output divergence and the input reference quantity of every pair in a chunk."""
+    pairs = (data["out1"], data["out2"]), (data["in1"], data["in2"])
     if divergence_id == "hockey":
-        num = bk.hockey_stick_ext_batch(out1, out2, gamma)
-        den = bk.hockey_stick_ext_batch(in1, in2, gamma)
-        return num, den
-    if divergence_id == "bures":
-        return (
-            bk.bures_squared_batch(out1, out2),
-            bk.trace_distance_batch(in1, in2),
-        )
-    if divergence_id == "relent":
-        return (
-            bk.relative_entropy_batch(out1, out2),
-            bk.trace_distance_batch(in1, in2),
-        )
-    if divergence_id == "f_div":
-        num = _loop_f_divergence(out1, out2, f)
-        if delta > 0.0:
-            den = _loop_f_divergence(in1, in2, f)
-        else:
-            den = bk.trace_distance_batch(in1, in2)
-        return num, den
-    raise ValidationError(f"unknown divergence id {divergence_id!r}")
+        return [bk.hockey_stick_ext_batch(x, y, gamma) for x, y in pairs]
+    if divergence_id == "f_div" and delta > 0.0:
+        return [bk.f_divergence_batch(x, y, f) for x, y in pairs]
+    num = {"trace": bk.trace_distance_batch, "bures": bk.bures_squared_batch,
+           "relent": bk.relative_entropy_batch,
+           "f_div": lambda x, y: bk.f_divergence_batch(x, y, f)}[divergence_id]
+    return num(*pairs[0]), bk.trace_distance_batch(*pairs[1])
 
 
 def _theory(divergence_id: str, params: PrivacyParams, gamma, f):

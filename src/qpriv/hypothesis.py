@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _batched as bk
 from .divergences import bures_squared, fidelity, trace_distance
 from .errors import (
     AlphaTooLarge,
@@ -209,8 +210,8 @@ def _pe_classical(p_out: np.ndarray, q_out: np.ndarray, p: float, q: float, n: i
 
 
 def _pe_dense(rho: DensityMatrix, sigma: DensityMatrix, p: float, q: float, n: int) -> float:
-    m = p * tensor_power(rho, n).entries - q * tensor_power(sigma, n).entries
-    nuc = float(np.sum(np.abs(np.linalg.eigvalsh(hermitian_part(m)))))
+    a, b = p * tensor_power(rho, n).entries, q * tensor_power(sigma, n).entries
+    nuc = 2.0 * float(bk.trace_distance_batch(a[None], b[None])[0])
     return max(0.5 * (1.0 - nuc), 0.0)
 
 

@@ -1,5 +1,5 @@
 """Batched kernels against references written here: LAPACK eigvalsh of the
-dense matrix, and scipy's sqrtm and logm.
+dense matrix, scipy's sqrtm and logm, and scipy's quad for f-divergences.
 
 The scalar measures of ``qpriv.divergences`` are batches of one over these
 kernels, so comparing the two would test a function against itself.
@@ -9,9 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import linalg as sla
 
 from qpriv import _batched as bk
+from qpriv import divergences as dv
+from qpriv import errors
 
 DIMS = (2, 3, 4)
 GAMMAS = (math.exp(-1.0), 1.0, math.e)
@@ -50,6 +53,29 @@ def logm_relative_entropy(a, b):
 def sqrtm_max_relative_entropy(a, b):
     s = np.linalg.inv(sla.sqrtm(b))
     return max(math.log(np.linalg.eigvalsh(s @ a @ s.conj().T)[-1]), 0.0)
+
+
+def quad_f_divergence(f, a, b):
+    """Both terms of the f-divergence by scipy's quad, split at the generalized
+    eigenvalues of the full-rank pair from scipy's own solver."""
+
+    def term(x, y, weight):
+        rel = sla.eigh(x, y, eigvals_only=True)
+        upper = math.log(rel[-1])
+        cuts = [0.0, *sorted(math.log(r) for r in rel if 1.0 < r < rel[-1]), upper]
+
+        def integrand(u):
+            w = np.linalg.eigvalsh(x - math.exp(u) * y)
+            return weight(u) * float(np.sum(np.clip(w, 0.0, None)))
+
+        return sum(
+            integrate.quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+            for lo, hi in zip(cuts, cuts[1:])
+        )
+
+    return term(a, b, lambda u: f.f_pp(math.exp(u)) * math.exp(u)) + term(
+        b, a, lambda u: math.exp(-2.0 * u) * f.f_pp(math.exp(-u))
+    )
 
 
 def test_eigvals_2x2_matches_lapack():
@@ -156,3 +182,76 @@ def test_relative_spectrum_is_the_generalized_spectrum(dim):
     want = np.array([sla.eigh(a, b, eigvals_only=True) for a, b in zip(x, y)])
     np.testing.assert_allclose(rel, want, rtol=1e-10, atol=0)
     np.testing.assert_allclose(dmax, np.maximum(np.log(want[:, -1]), 0.0), rtol=0, atol=1e-10)
+
+
+F_FUNCTIONS = {
+    "kl": dv.kl_function(),
+    "chi2": dv.chi2_function(),
+    "smoothed_tv": dv.smoothed_tv_function(0.1),
+}
+
+
+def embedded(states, dim):
+    """Stacked states padded with zeros to dim x dim: rank at most their own dim."""
+    out = np.zeros(states.shape[:-2] + (dim, dim), dtype=complex)
+    k = states.shape[-1]
+    out[..., :k, :k] = states
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("name", F_FUNCTIONS)
+def test_f_divergence_rows_are_batches_of_one(dim, name):
+    f = F_FUNCTIONS[name]
+    rng = np.random.default_rng(60 + dim)
+    x, y = bk.ginibre_states(rng, 3, dim), bk.ginibre_states(rng, 3, dim)
+    half_x, half_y = bk.ginibre_states(rng, 1, dim // 2), bk.ginibre_states(rng, 1, dim // 2)
+    # Row 3: equal states. Row 4: a full-rank x against a rank-deficient y,
+    # a support violation. Row 5: both rank-deficient on the same support.
+    x = np.concatenate([x, x[:1], x[1:2], embedded(half_x, dim)])
+    y = np.concatenate([y, x[:1], embedded(half_y, dim), embedded(half_y, dim)])
+    got = bk.f_divergence_batch(x, y, f)
+    ones = [bk.f_divergence_batch(a[None], b[None], f)[0] for a, b in zip(x, y)]
+    np.testing.assert_allclose(got, ones, rtol=0, atol=1e-12)
+
+    want = [quad_f_divergence(f, a, b) for a, b in zip(x[:3], y[:3])]
+    np.testing.assert_allclose(got[:3], want, rtol=0, atol=1e-9)
+    assert abs(got[3]) < 1e-10
+    if f.growth_superlinear:
+        assert np.isinf(got[4])
+    else:
+        # Linear growth: the violated term integrates finitely up to LOG_GAMMA_CAP.
+        assert np.isfinite(got[4]) and got[4] > 0.0
+    block = bk.f_divergence_batch(half_x, half_y, f)[0]
+    assert got[5] == pytest.approx(block, abs=1e-9)
+
+
+def test_f_divergence_panel_budget_is_per_pair(monkeypatch):
+    x, y = full_rank_pairs(2, 64, n=2000)
+    evaluated = []
+    gauss_legendre = bk._gauss_legendre
+
+    def counted(integrand, owner, lo, hi, chunk):
+        evaluated.append(lo.size)
+        return gauss_legendre(integrand, owner, lo, hi, chunk)
+
+    monkeypatch.setattr(bk, "_gauss_legendre", counted)
+    f = F_FUNCTIONS["smoothed_tv"]
+    got = bk.f_divergence_batch(x, y, f)
+    # One integral raises before it has evaluated 4 * budget panels, so the
+    # batch as a whole was not held to a shared budget.
+    assert sum(evaluated) > 4 * bk.QUAD_PANEL_BUDGET
+    ones = [bk.f_divergence_batch(x[i : i + 1], y[i : i + 1], f)[0] for i in range(0, 2000, 97)]
+    np.testing.assert_allclose(got[::97], ones, rtol=0, atol=1e-12)
+
+
+def test_f_divergence_one_unreachable_pair_raises():
+    rng = np.random.default_rng(65)
+    x = bk.ginibre_states(rng, 20, 2)
+    kl = F_FUNCTIONS["kl"]
+    # Equal pairs meet any tolerance: their integrands vanish to rounding.
+    assert np.all(np.abs(bk.f_divergence_batch(x, x, kl, tol=1e-300)) < 1e-20)
+    y = x.copy()
+    y[7] = bk.ginibre_states(rng, 1, 2)[0]
+    with pytest.raises(errors.QuadratureNotConverged):
+        bk.f_divergence_batch(x, y, kl, tol=1e-300)

@@ -182,6 +182,35 @@ class TestScan:
         ratio = witness_ratio(report, dv.kl_function())
         assert ratio == pytest.approx(report.empirical_sup, abs=1e-9)
 
+    @pytest.mark.parametrize("delta", [0.0, 0.2])
+    def test_f_div_scan_equals_pair_by_pair_scoring(self, delta):
+        """The stacked quadrature scores each pair as scalar f_divergence does."""
+        params = privacy.PrivacyParams(1.0, delta)
+        f, dims, trials, seed = dv.kl_function(), (2, 3, 4), 150, 23
+        report = ct.scan("f_div", params, dims=dims, trials=trials, seed=seed, f=f)
+
+        rng = qc.as_rng(seed)
+        best, kind, valid = -math.inf, None, 0
+        for j, dim in enumerate(dims):
+            budget = trials // len(dims) + (trials % len(dims) if j == 0 else 0)
+            for done in range(0, budget, ct._CHUNK):
+                data = ct._sample_chunk(
+                    rng, min(ct._CHUNK, budget - done), dim, privacy.mechanism_weight(params)
+                )
+                for i, extremal in enumerate(data["extremal"]):
+                    num = dv.f_divergence(data["out1"][i], data["out2"][i], f)
+                    a, b = data["in1"][i], data["in2"][i]
+                    den = dv.f_divergence(a, b, f) if delta > 0.0 else dv.trace_distance(a, b)
+                    if den < qc.TOL_DENOM or not math.isfinite(num):
+                        continue
+                    valid += 1
+                    if num / den > best:
+                        best = num / den
+                        kind = "extremal_mechanism" if extremal else "random_composite"
+        assert report.empirical_sup == pytest.approx(best, abs=1e-12)
+        assert report.valid_pairs == valid
+        assert report.witness_kind == kind
+
     def test_eps_delta_scan_attains_coefficient(self):
         params = privacy.PrivacyParams(1.0, 0.3)
         report = ct.scan("trace", params, trials=2000, seed=11)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qpriv import _batched as bk
 from qpriv import divergences as dv
 from qpriv import errors
 from qpriv import quantum_core as qc
@@ -246,18 +247,19 @@ class TestFDivergence:
         rng = np.random.default_rng(21)
         rho, sigma = random_pair(rng, 2)
         evaluated = []
-        gauss_legendre = dv._gauss_legendre
+        gauss_legendre = bk._gauss_legendre
 
-        def counted(integrand, lo, hi):
-            # Each panel is evaluated as two halves once, so under 3 * budget in all.
+        def counted(integrand, owner, lo, hi, chunk):
+            # Each panel's halves are evaluated once, so each of the pair's two
+            # integrals evaluates its first panels and at most 2 * budget more.
             evaluated.append(lo.size)
-            assert sum(evaluated) <= 4 * dv.QUAD_PANEL_BUDGET, "panel budget ignored"
-            return gauss_legendre(integrand, lo, hi)
+            assert sum(evaluated) <= 4 * bk.QUAD_PANEL_BUDGET, "panel budget ignored"
+            return gauss_legendre(integrand, owner, lo, hi, chunk)
 
-        monkeypatch.setattr(dv, "_gauss_legendre", counted)
+        monkeypatch.setattr(bk, "_gauss_legendre", counted)
         with pytest.raises(errors.QuadratureNotConverged):
             dv.f_divergence(rho, sigma, dv.kl_function(), tol=1e-300)
-        assert sum(evaluated) > dv.QUAD_PANEL_BUDGET
+        assert sum(evaluated) > bk.QUAD_PANEL_BUDGET
 
     def test_convexity_validation(self):
         with pytest.raises(errors.ValidationError):
