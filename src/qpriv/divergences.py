@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import _batched as bk
-from .errors import DimensionMismatch, InvalidGamma, ValidationError
+from .errors import DimensionMismatch, InvalidGamma, QuadratureNotConverged, ValidationError
 from .quantum_core import DensityMatrix, hermitian_part
 
 
@@ -123,13 +123,15 @@ def max_relative_entropy(rho, sigma) -> float:
 class ConvexFunction:
     """A convex, twice differentiable function with f(1) = 0.
 
-    ``f_pp`` is the second derivative. ``growth_superlinear`` marks functions
-    whose divergence becomes infinite under a support violation (f' unbounded
-    at infinity, e.g. x log x), as opposed to asymptotically linear ones.
+    ``f_pp`` is the second derivative, applied elementwise to arrays of
+    gamma; a constant may return a scalar, which broadcasts. ``f`` is called
+    on floats. ``growth_superlinear`` marks functions whose divergence
+    becomes infinite under a support violation (f' unbounded at infinity,
+    e.g. x log x), as opposed to asymptotically linear ones.
     """
 
     f: Callable[[float], float]
-    f_pp: Callable[[float], float]
+    f_pp: Callable[[np.ndarray], np.ndarray]
     growth_superlinear: bool
     name: str = ""
 
@@ -137,11 +139,14 @@ class ConvexFunction:
         if abs(self.f(1.0)) > 1e-12:
             raise ValidationError(f"f(1) must be 0, got {self.f(1.0)!r}")
         grid = np.geomspace(1e-9, 10.0 * math.exp(bk.LOG_GAMMA_CAP), 121)
-        for x in grid:
-            if self.f_pp(float(x)) < -1e-9:
-                raise ValidationError(
-                    f"f'' is negative at x={x!r}; f must be convex"
-                )
+        try:
+            f_pp = np.broadcast_to(np.asarray(self.f_pp(grid), dtype=float), grid.shape)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"f_pp must apply elementwise to an array: {exc}") from exc
+        negative = f_pp < -1e-9
+        if negative.any():
+            x = grid[np.argmax(negative)]
+            raise ValidationError(f"f'' is negative at x={x!r}; f must be convex")
 
 
 def kl_function() -> ConvexFunction:
@@ -173,7 +178,7 @@ def smoothed_tv_function(width: float) -> ConvexFunction:
     def f(x: float) -> float:
         return 0.5 * (math.sqrt((x - 1.0) ** 2 + w2) - width)
 
-    def f_pp(x: float) -> float:
+    def f_pp(x):
         return 0.5 * w2 / ((x - 1.0) ** 2 + w2) ** 1.5
 
     return ConvexFunction(f=f, f_pp=f_pp, growth_superlinear=False, name="smoothed tv")
@@ -193,4 +198,9 @@ def f_divergence(rho, sigma, f: ConvexFunction, tol: float = bk.TOL_QUAD) -> flo
     +inf when either max-relative entropy is infinite and ``f`` grows
     superlinearly; ``QuadratureNotConverged`` past the panel budget.
     """
-    return _one(bk.f_divergence_batch, rho, sigma, f, tol)
+    value = _one(bk.f_divergence_batch, rho, sigma, f, tol)
+    if math.isnan(value):
+        raise QuadratureNotConverged(
+            f"tolerance {tol:.3e} not reached within {bk.QUAD_PANEL_BUDGET} panels"
+        )
+    return value

@@ -227,21 +227,22 @@ def test_f_divergence_rows_are_batches_of_one(dim, name):
 
 
 def test_f_divergence_panel_budget_is_per_pair(monkeypatch):
-    x, y = full_rank_pairs(2, 64, n=2000)
+    x, y = full_rank_pairs(2, 64, n=3000)
     evaluated = []
-    gauss_legendre = bk._gauss_legendre
+    kronrod = bk._kronrod
 
     def counted(integrand, owner, lo, hi, chunk):
         evaluated.append(lo.size)
-        return gauss_legendre(integrand, owner, lo, hi, chunk)
+        return kronrod(integrand, owner, lo, hi, chunk)
 
-    monkeypatch.setattr(bk, "_gauss_legendre", counted)
+    monkeypatch.setattr(bk, "_kronrod", counted)
     f = F_FUNCTIONS["smoothed_tv"]
     got = bk.f_divergence_batch(x, y, f)
-    # One integral raises before it has evaluated 4 * budget panels, so the
-    # batch as a whole was not held to a shared budget.
+    # The batch evaluated more than 4 * budget panels in all and every row
+    # converged, so the batch as a whole was not held to a shared budget.
     assert sum(evaluated) > 4 * bk.QUAD_PANEL_BUDGET
-    ones = [bk.f_divergence_batch(x[i : i + 1], y[i : i + 1], f)[0] for i in range(0, 2000, 97)]
+    assert np.all(np.isfinite(got))
+    ones = [bk.f_divergence_batch(x[i : i + 1], y[i : i + 1], f)[0] for i in range(0, 3000, 97)]
     np.testing.assert_allclose(got[::97], ones, rtol=0, atol=1e-12)
 
 
@@ -253,5 +254,38 @@ def test_f_divergence_one_unreachable_pair_raises():
     assert np.all(np.abs(bk.f_divergence_batch(x, x, kl, tol=1e-300)) < 1e-20)
     y = x.copy()
     y[7] = bk.ginibre_states(rng, 1, 2)[0]
+    got = bk.f_divergence_batch(x, y, kl, tol=1e-300)
+    assert np.isnan(got[7])
+    ones = [bk.f_divergence_batch(a[None], b[None], kl, tol=1e-300)[0] for a, b in zip(x, y)]
+    np.testing.assert_allclose(np.delete(got, 7), np.delete(ones, 7), rtol=1e-12, atol=0)
     with pytest.raises(errors.QuadratureNotConverged):
-        bk.f_divergence_batch(x, y, kl, tol=1e-300)
+        dv.f_divergence(x[7], y[7], kl, tol=1e-300)
+
+
+def test_kronrod_embeds_the_7_point_gauss_rule():
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    np.testing.assert_allclose(bk._K15_NODES[1::2], nodes, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(bk._G7_WEIGHTS[1::2], weights, rtol=0, atol=1e-15)
+    assert np.all(bk._G7_WEIGHTS[0::2] == 0.0)
+
+
+def test_kronrod_rule_is_exact_to_degree_22():
+    for k in range(23):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert bk._K15_NODES**k @ bk._K15_WEIGHTS == pytest.approx(exact, abs=1e-15), k
+    assert abs(np.sum(bk._NULL_WEIGHTS)) < 1e-15
+
+
+def test_f_divergence_generic_d32_pair_accepts_every_first_panel(monkeypatch):
+    """The cost guard: a generic d = 32 KL pair needs no split at TOL_QUAD."""
+    x, y = full_rank_pairs(32, 66, n=1)
+    rounds = []
+    kronrod = bk._kronrod
+
+    def counted(integrand, owner, lo, hi, chunk):
+        rounds.append(lo.size)
+        return kronrod(integrand, owner, lo, hi, chunk)
+
+    monkeypatch.setattr(bk, "_kronrod", counted)
+    assert np.isfinite(bk.f_divergence_batch(x, y, F_FUNCTIONS["kl"])[0])
+    assert len(rounds) == 1, f"panels per round: {rounds}"

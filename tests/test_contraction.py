@@ -182,6 +182,13 @@ class TestScan:
         ratio = witness_ratio(report, dv.kl_function())
         assert ratio == pytest.approx(report.empirical_sup, abs=1e-9)
 
+    def test_f_div_scan_skips_a_pair_whose_quadrature_does_not_converge(self):
+        """A chi^2 pair past the panel budget is skipped, not fatal to the scan."""
+        params = privacy.PrivacyParams(1.0, 0.2)
+        report = ct.scan("f_div", params, f=dv.chi2_function(), dims=(2,), trials=20000, seed=2)
+        assert report.valid_pairs < report.trials
+        assert math.isfinite(report.empirical_sup)
+
     @pytest.mark.parametrize("delta", [0.0, 0.2])
     def test_f_div_scan_equals_pair_by_pair_scoring(self, delta):
         """The stacked quadrature scores each pair as scalar f_divergence does."""

@@ -210,7 +210,7 @@ class TestFDivergence:
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8])
     def test_matches_scipy_quad_reference(self, dim):
-        """Adaptive Gauss-Legendre panels against scipy's quad, split at the
+        """Adaptive Gauss-Kronrod panels against scipy's quad, split at the
         generalized eigenvalues of the pair from scipy's own solver."""
         from scipy import integrate, linalg
 
@@ -247,16 +247,17 @@ class TestFDivergence:
         rng = np.random.default_rng(21)
         rho, sigma = random_pair(rng, 2)
         evaluated = []
-        gauss_legendre = bk._gauss_legendre
+        kronrod = bk._kronrod
 
         def counted(integrand, owner, lo, hi, chunk):
-            # Each panel's halves are evaluated once, so each of the pair's two
-            # integrals evaluates its first panels and at most 2 * budget more.
+            # Each panel is evaluated once, and only while its integral is
+            # within budget, so each of the pair's two integrals evaluates at
+            # most 2 * budget panels.
             evaluated.append(lo.size)
             assert sum(evaluated) <= 4 * bk.QUAD_PANEL_BUDGET, "panel budget ignored"
-            return gauss_legendre(integrand, owner, lo, hi, chunk)
+            return kronrod(integrand, owner, lo, hi, chunk)
 
-        monkeypatch.setattr(bk, "_gauss_legendre", counted)
+        monkeypatch.setattr(bk, "_kronrod", counted)
         with pytest.raises(errors.QuadratureNotConverged):
             dv.f_divergence(rho, sigma, dv.kl_function(), tol=1e-300)
         assert sum(evaluated) > bk.QUAD_PANEL_BUDGET
@@ -267,6 +268,10 @@ class TestFDivergence:
                               growth_superlinear=False)
         with pytest.raises(errors.ValidationError):
             dv.ConvexFunction(f=lambda x: x, f_pp=lambda x: 0.0, growth_superlinear=False)
+        # f_pp must apply elementwise to the array of gammas.
+        for f_pp in (lambda x: np.ones(3), lambda x: math.exp(-x)):
+            with pytest.raises(errors.ValidationError):
+                dv.ConvexFunction(f=lambda x: x - 1.0, f_pp=f_pp, growth_superlinear=False)
 
 
 class TestSkewSymmetry:
