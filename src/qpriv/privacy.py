@@ -6,21 +6,22 @@ be restricted to orthogonal pure input pairs. Mechanisms built here compose a
 binary effect readout with a depolarizing channel.
 
 Certification and the epsilon estimate answer 0 for a channel with a
-one-dimensional input, which has no orthogonal input pair. Any other channel
-takes one of two routes, chosen by the output dimension alone:
+one-dimensional input, which has no orthogonal input pair. Every other
+channel takes one route, the dual form: for a test 0 <= M <= I the best
+orthogonal pair is the top and bottom eigenvectors of A^dag(M), so the
+supremum is max(0, max_M lambda_max - gamma lambda_min) of A^dag(M), and
+the epsilon level is max_M ln(lambda_max / lambda_min). An ascent
+alternates between M and the pair. The output dimension only picks its
+starts: a fixed Fibonacci grid of Bloch projectors for qubit outputs, and
+for wider outputs the basis pairs followed by random pairs drawn from the
+seed.
 
-* qubit output: the dual form on the Bloch sphere. For gamma >= 1 the
-  supremum is max(0, max_n lambda_max(B(n)) - gamma lambda_min(B(n))) with
-  B(n) = A^dag((I + n.sigma) / 2), attained by B(n)'s top and bottom
-  eigenvectors, and the epsilon level is max_n ln(lambda_max / lambda_min).
-  A fixed Fibonacci grid seeds an ascent over n; the seed is unused.
-* wider output: a multi-start derivative-free pattern search over
-  orthonormal input 2-frames, drawn from the seed.
-
-Both are sound rejectors and heuristic acceptors: the returned worst value is
-attained by the returned witness pair, so it is a valid lower bound on the
-true supremum; a failed certification is conclusive while a passed one is
-best-effort.
+The route is a sound rejector and a heuristic acceptor: the returned worst
+value is attained by the returned witness pair, so it is a valid lower bound
+on the true supremum; a failed certification is conclusive while a passed
+one is best-effort. One caveat holds at large gamma on wider outputs: the
+eigenvalues behind a value carry an absolute rounding error of about 1e-16,
+which gamma multiplies, so there a rejection can come from rounding alone.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class PrivacyParams:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Start count and step cap of both certification routes (see :func:`certify`)."""
+    """Start count and per-start step cap of the certification ascent (see :func:`certify`)."""
 
     restarts: int = DEFAULT_RESTARTS
     polish_steps: int = DEFAULT_POLISH_STEPS
@@ -97,7 +98,8 @@ class CertificationResult:
     ``worst_value`` is the largest hockey-stick divergence found between
     channel outputs of orthogonal pure inputs, attained by ``witness_pair``;
     it lower-bounds the true supremum. ``certified`` holds when that value is
-    within ``TOL_CERT`` of the allowed delta.
+    within ``TOL_CERT`` of the allowed delta. ``iterations`` counts the
+    d_in x d_in eigenproblems of the search, one per scored test A^dag(M).
     """
 
     certified: bool
@@ -133,97 +135,7 @@ def mechanism_weight(params: PrivacyParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Derivative-free search over orthonormal input pairs
-# ---------------------------------------------------------------------------
-
-
-def _initial_raw(rng: np.random.Generator, restarts: int, dim: int) -> np.ndarray:
-    raw = bk.gaussian_complex(rng, (restarts, dim, 2))
-    # Seed the first restarts with canonical basis pairs; they are exact
-    # optima for computational-basis-aligned mechanisms.
-    count = 0
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            if count >= restarts:
-                break
-            raw[count] = 0.0
-            raw[count, i, 0] = 1.0
-            raw[count, j, 1] = 1.0
-            count += 1
-    return raw
-
-
-def _frames(raw: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(raw)
-    return q
-
-
-def _objective_hockey(transfer: np.ndarray, gamma: float):
-    def evaluate(frames: np.ndarray) -> np.ndarray:
-        out1, out2 = _push_frames(transfer, frames)
-        a = bk.positive_eigensum(out1 - gamma * out2)
-        b = bk.positive_eigensum(out2 - gamma * out1)
-        return np.maximum(a, b)
-
-    return evaluate
-
-
-def _objective_dmax(transfer: np.ndarray):
-    def evaluate(frames: np.ndarray) -> np.ndarray:
-        out1, out2 = _push_frames(transfer, frames)
-        a = bk.max_relative_entropy_batch(out1, out2)
-        b = bk.max_relative_entropy_batch(out2, out1)
-        return np.maximum(a, b)
-
-    return evaluate
-
-
-def _push_frames(transfer: np.ndarray, frames: np.ndarray):
-    s1 = bk.projectors_from_vectors(frames[:, :, 0])
-    s2 = bk.projectors_from_vectors(frames[:, :, 1])
-    n, d, _ = s1.shape
-    dout = int(round(math.sqrt(transfer.shape[0])))
-    out1 = (s1.reshape(n, d * d) @ transfer.T).reshape(n, dout, dout)
-    out2 = (s2.reshape(n, d * d) @ transfer.T).reshape(n, dout, dout)
-    return out1, out2
-
-
-def _search_orthogonal_pairs(channel: KrausChannel, objective, budget: SearchBudget, seed):
-    rng = as_rng(seed)
-    dim = channel.dim_in
-    restarts = budget.restarts
-    raw = _initial_raw(rng, restarts, dim)
-    value = objective(_frames(raw))
-    evals = restarts
-    step = np.full(restarts, 0.5)
-    stall = np.zeros(restarts, dtype=int)
-    n_dirs = 4 * dim
-    for it in range(budget.polish_steps):
-        if np.any(np.isinf(value)):
-            break
-        k = it % n_dirs
-        vec_idx, rem = divmod(k, 2 * dim)
-        coord, part = divmod(rem, 2)
-        bump = step if part == 0 else 1j * step
-        for sign in (1.0, -1.0):
-            proposal = raw.copy()
-            proposal[:, coord, vec_idx] += sign * bump
-            cand = objective(_frames(proposal))
-            evals += restarts
-            improved = cand > value
-            raw[improved] = proposal[improved]
-            value = np.where(improved, cand, value)
-            stall = np.where(improved, 0, stall + 1)
-        shrink = stall >= 2 * n_dirs
-        step = np.where(shrink, np.maximum(step * 0.5, 1e-10), step)
-        stall = np.where(shrink, 0, stall)
-    best = int(np.argmax(value))
-    frame = _frames(raw[best : best + 1])[0]
-    return float(value[best]), frame, evals
-
-
-# ---------------------------------------------------------------------------
-# Dual form for qubit outputs: an ascent over Bloch vectors
+# Dual form: an ascent over tests M
 # ---------------------------------------------------------------------------
 
 
@@ -236,31 +148,72 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=-1)
 
 
-def _bloch_ascent(channel: KrausChannel, budget: SearchBudget, gamma: float | None = None):
-    """Maximize over unit n an objective of the spectrum of B(n) = A^dag((I + n.sigma) / 2).
+def _bloch_projectors(n: np.ndarray) -> np.ndarray:
+    """Projectors (I + n.sigma) / 2 onto stacked unit Bloch vectors, shape (count, 2, 2)."""
+    x, y, z = n.T
+    return 0.5 * np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1).reshape(-1, 2, 2)
+
+
+def _start_pairs(dim: int, count: int, seed) -> np.ndarray:
+    """``count`` orthonormal input pairs, shape (count, dim, 2): the basis pairs
+    (e_i, e_j), i < j, first, since they are exact optima for mechanisms aligned
+    with the computational basis, then random pairs drawn from ``seed``."""
+    i, j = (idx[:count] for idx in np.triu_indices(dim, 1))
+    basis = np.zeros((len(i), dim, 2), dtype=complex)
+    basis[np.arange(len(i)), i, 0] = 1.0
+    basis[np.arange(len(i)), j, 1] = 1.0
+    return np.concatenate([basis, bk.orthonormal_pairs(as_rng(seed), count - len(i), dim)])
+
+
+def _positive_projectors(diff: np.ndarray, rank_one: bool) -> np.ndarray:
+    """Projectors onto the positive eigenspace of each stacked Hermitian, or onto
+    its top eigenvector when ``rank_one`` or when that space is empty."""
+    # Rescale before eigh: at large gamma the entries reach ~1e308.
+    scale = np.max(np.abs(diff), axis=(1, 2), keepdims=True)
+    w, v = np.linalg.eigh(diff / np.where(scale > 0.0, scale, 1.0))
+    keep = (w > 0.0) & (not rank_one)
+    keep[:, -1] = True
+    return (v * keep[:, None, :]) @ v.conj().transpose(0, 2, 1)
+
+
+def _dual_ascent(channel: KrausChannel, budget: SearchBudget, seed, gamma: float | None = None):
+    """Maximize over tests M an objective of the spectrum of A^dag(M).
 
     The objective is lambda_max - gamma lambda_min, or without ``gamma`` the
     ratio lambda_max / lambda_min (+inf once lambda_min <= ``TOL_SUPP``
-    lambda_max). B(n) is summed from A^dag of the matrix units, so at the
-    poles it is a sum of positive terms whose small eigenvalues survive
-    instead of cancelling against I/2. The best ``budget.restarts`` grid
-    points step to the Bloch vector of A(top) - t A(bottom), t = gamma or the
-    current ratio (Dinkelbach); a start stops at its first step that does not
-    improve. Returns the value, B's top and bottom eigenvectors, and the
-    eigenproblem count.
+    lambda_max); A^dag(M)'s top and bottom eigenvectors are the orthogonal
+    input pair that attains it. Qubit outputs start from the best
+    ``budget.restarts`` points of a Fibonacci grid of Bloch projectors; wider
+    outputs from the first step of ``budget.restarts`` input pairs
+    (:func:`_start_pairs`). Each step takes M from the current pair: the
+    positive eigenspace of A(top) - gamma A(bottom), or for the ratio the top
+    eigenvector of A(top) - t A(bottom) with t the current ratio (Dinkelbach).
+    A start stops at its first step that does not improve. Returns the value,
+    the best pair, and the count of A^dag(M) spectra computed; with ``gamma``
+    the value is that pair's own E_gamma, also when its start hit the cap.
     """
     kraus = np.stack(channel.kraus)
-    dim = channel.dim_in
-    units = np.einsum("kai,kbj->abij", kraus.conj(), kraus)  # A^dag(|a><b|)
+    count, d_out, d_in = kraus.shape
+    flat = kraus.reshape(count, d_out * d_in)
+    # (flat^dag flat)[(a, i), (b, j)] = A^dag(|a><b|)[i, j], so row (a, b) of
+    # dual holds that matrix unit's image: vec(A^dag(M)) = vec(M) @ dual.
+    dual = (flat.conj().T @ flat).reshape(d_out, d_in, d_out, d_in)
+    dual = dual.transpose(0, 2, 1, 3).reshape(d_out * d_out, d_in * d_in)
 
-    def pullback(n: np.ndarray) -> np.ndarray:
-        x, y, z = n.T
-        m = 0.5 * np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1)
-        return (m @ units.reshape(4, dim * dim)).reshape(-1, dim, dim)
+    def push(vectors: np.ndarray) -> np.ndarray:
+        # <b|A(v v^dag)|a> = tr(v v^dag A^dag(|a><b|)), and (v v^dag)^T = conj(v) conj(v)^dag.
+        flat_in = bk.projectors_from_vectors(vectors.conj()).reshape(len(vectors), d_in * d_in)
+        return (flat_in @ dual.T).reshape(-1, d_out, d_out).transpose(0, 2, 1)
 
-    def score(n: np.ndarray, vectors: bool):
+    def step(first: np.ndarray, second: np.ndarray, t) -> np.ndarray:
+        return _positive_projectors(push(first) - t * push(second), rank_one=gamma is None)
+
+    def pullback(m: np.ndarray) -> np.ndarray:
+        return (m.reshape(len(m), d_out * d_out) @ dual).reshape(-1, d_in, d_in)
+
+    def score(m: np.ndarray, vectors: bool):
         solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
-        parts = [solve(pullback(n[i : i + _EIG_CHUNK])) for i in range(0, len(n), _EIG_CHUNK)]
+        parts = [solve(pullback(m[i : i + _EIG_CHUNK])) for i in range(0, len(m), _EIG_CHUNK)]
         w = np.concatenate([p[0] for p in parts] if vectors else parts)
         v = np.concatenate([p[1] for p in parts]) if vectors else None
         lo, hi = np.clip(w[:, 0], 0.0, 1.0), np.clip(w[:, -1], 0.0, 1.0)
@@ -269,54 +222,53 @@ def _bloch_ascent(channel: KrausChannel, budget: SearchBudget, gamma: float | No
         ratio = np.divide(hi, lo, out=np.full_like(hi, math.inf), where=lo > TOL_SUPP * hi)
         return np.where(hi > 0.0, ratio, 1.0), v
 
-    grid = _fibonacci_sphere(BLOCH_GRID)
-    value, _ = score(grid, False)
-    value, v = score(grid[np.argsort(-value, kind="stable")[: budget.restarts]], True)
-    evals = BLOCH_GRID + len(value)
+    if d_out == 2:
+        grid = _bloch_projectors(_fibonacci_sphere(BLOCH_GRID))
+        value, _ = score(grid, False)
+        m = grid[np.argsort(-value, kind="stable")[: budget.restarts]]
+        evals = BLOCH_GRID
+    else:
+        pairs = _start_pairs(d_in, budget.restarts, seed)
+        m = step(pairs[:, :, 0], pairs[:, :, 1], 1.0 if gamma is None else gamma)
+        evals = 0
+    value, v = score(m, True)
+    evals += len(value)
     top, bottom = v[:, :, -1], v[:, :, 0]
     active = np.arange(len(value))
     for _ in range(budget.polish_steps):
-        if np.isinf(value).any():
+        if active.size == 0 or np.isinf(value).any():
             break
         t = gamma if gamma is not None else value[active, None, None]
-        q_top = np.einsum("ni,abij,nj->nab", top[active].conj(), units, top[active])
-        q_bot = np.einsum("ni,abij,nj->nab", bottom[active].conj(), units, bottom[active])
-        diff = q_top - t * q_bot  # entry (a, b) is <b|A(top) - t A(bottom)|a>
-        off = 2.0 * diff[:, 0, 1]
-        g = np.stack([off.real, off.imag, (diff[:, 0, 0] - diff[:, 1, 1]).real], axis=-1)
-        # Rescale before the norm: at large gamma the entries reach ~1e308.
-        scale = np.max(np.abs(g), axis=-1, keepdims=True)
-        moves = scale[:, 0] > 0.0
-        active, g = active[moves], g[moves] / scale[moves]
-        if active.size == 0:
-            break
-        cand, v = score(g / np.linalg.norm(g, axis=-1, keepdims=True), True)
+        cand, v = score(step(top[active], bottom[active], t), True)
         evals += len(cand)
         better = cand > value[active]
         active = active[better]
         value[active], top[active], bottom[active] = cand[better], v[better, :, -1], v[better, :, 0]
     best = int(np.argmax(value))
-    return float(value[best]), top[best], bottom[best], evals
+    top, bottom, value = top[best], bottom[best], float(value[best])
+    if gamma is not None:
+        # A start cut by the step cap may sit below its pair's own E_gamma, which
+        # is tr M (A(top) - gamma A(bottom)) at the next step's M; report that,
+        # each term clipped as the spectrum is, so it cannot exceed 1.
+        dual_m = pullback(step(top[None], bottom[None], gamma))[0]
+        q_top, q_bottom = (np.clip(np.vdot(x, dual_m @ x).real, 0.0, 1.0) for x in (top, bottom))
+        value = float(q_top - gamma * q_bottom)
+    return value, top, bottom, evals
 
 
 def _worst_pair(channel: KrausChannel, budget: SearchBudget, seed, gamma: float | None = None):
     """The route shared by :func:`certify` (with ``gamma``) and :func:`estimate_epsilon`.
 
     Returns the worst value, attained by the returned input vectors, and the
-    evaluation count. With ``gamma`` the value is the hockey-stick objective;
-    without it, the max-relative entropy. A one-dimensional input has no
-    orthogonal pair, so every objective is 0 there.
+    eigenproblem count. With ``gamma`` the value is the hockey-stick
+    objective; without it, the max-relative entropy. A one-dimensional input
+    has no orthogonal pair, so every objective is 0 there.
     """
     if channel.dim_in == 1:
         one = np.ones(1, dtype=complex)
         return 0.0, one, one, 0
-    if channel.dim_out == 2:
-        value, first, second, evals = _bloch_ascent(channel, budget, gamma)
-        return (value if gamma is not None else math.log(value)), first, second, evals
-    transfer = channel.transfer
-    objective = _objective_dmax(transfer) if gamma is None else _objective_hockey(transfer, gamma)
-    value, frame, evals = _search_orthogonal_pairs(channel, objective, budget, seed)
-    return value, frame[:, 0], frame[:, 1], evals
+    value, first, second, evals = _dual_ascent(channel, budget, seed, gamma)
+    return (value if gamma is not None else math.log(value)), first, second, evals
 
 
 def certify(
@@ -327,15 +279,17 @@ def certify(
 ) -> CertificationResult:
     """Find the worst hockey-stick divergence between channel outputs.
 
-    Maximizes E_{e^eps}(A(phi1) || A(phi2)) over orthogonal pure input pairs;
-    the channel is certified when the maximum found stays within
-    ``TOL_CERT`` of delta. A qubit-output channel takes the Bloch-sphere
-    dual (:func:`_bloch_ascent`): ``iterations`` counts its eigenproblems and
-    ``seed`` is unused. Wider outputs take the frame search, seeded by
-    ``seed``, and ``iterations`` counts its frame evaluations. On both
-    routes ``search_budget`` sets the start count and the step cap. A
-    channel with a one-dimensional input has no orthogonal input pair and is
-    certified with worst value 0 and no evaluations.
+    Maximizes E_{e^eps}(A(phi1) || A(phi2)) over orthogonal pure input pairs
+    through the dual form (:func:`_dual_ascent`); the channel is certified
+    when the maximum found stays within ``TOL_CERT`` of delta.
+    ``search_budget`` sets the start count and the per-start step cap, and
+    ``iterations`` counts the eigenproblems. ``seed`` draws the random starts
+    of outputs wider than a qubit; qubit outputs start from a fixed grid and
+    leave it unused. On wider outputs at large eps a rejection can come from
+    rounding alone, since e^eps multiplies the rounding error of the
+    smallest eigenvalue. A channel with a one-dimensional input has no
+    orthogonal input pair and is certified with worst value 0 and no
+    evaluations.
     """
     value, first, second, evals = _worst_pair(
         channel, search_budget or SearchBudget(), seed, math.exp(params.epsilon)
@@ -358,10 +312,9 @@ def estimate_epsilon(
 
     Returns a lower bound on the true privacy level; values above
     ``EPSILON_CAP`` (in particular orthogonal outputs) are reported as +inf.
-    A qubit-output channel takes the Bloch-sphere dual, where the level is
-    ln(lambda_max / lambda_min) of B(n) and ``seed`` is unused; wider outputs
-    take the frame search seeded by ``seed``. ``search_budget`` works as in
-    :func:`certify`, and a one-dimensional input gives 0 there too.
+    The level is max_M ln(lambda_max / lambda_min) of A^dag(M), found by the
+    same ascent as :func:`certify`, with ``search_budget`` and ``seed`` as
+    there; a one-dimensional input gives 0 here too.
     """
     value = _worst_pair(channel, search_budget or SearchBudget(), seed)[0]
     if value > EPSILON_CAP:

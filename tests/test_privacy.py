@@ -10,6 +10,8 @@ from qpriv import errors
 from qpriv import privacy
 from qpriv import quantum_core as qc
 
+import _frame_search as fs
+
 LN3 = math.log(3.0)
 PROJ0 = np.diag([1.0, 0.0])
 E0 = qc.DensityMatrix(np.diag([1.0, 0.0]))
@@ -209,25 +211,41 @@ def _qubit_output_channels():
 QUBIT_OUTPUT = _qubit_output_channels()
 
 
-class TestBlochDual:
-    """The qubit-output route against the frame search and dense oracles."""
+def _wider_output_channels():
+    """Seeded channels with three- and four-level outputs, the random ones of
+    Kraus rank 2 or 3."""
+    rng = np.random.default_rng(22)
+    cases = [
+        (f"random-{d_in}-{d_out}", qc.random_channel(d_in, d_out, k, rng))
+        for d_in, d_out, k in ((3, 3, 2), (4, 4, 3), (8, 4, 3))
+    ]
+    cases.append(("depolarizing-3", qc.depolarizing_channel(3, 0.3)))
+    return cases
 
-    @pytest.mark.parametrize("name, chan", QUBIT_OUTPUT, ids=[c[0] for c in QUBIT_OUTPUT])
+
+WIDER_OUTPUT = _wider_output_channels()
+EVERY_OUTPUT = QUBIT_OUTPUT + WIDER_OUTPUT
+
+
+class TestBlochDual:
+    """The dual ascent against the frame search and dense oracles."""
+
+    @pytest.mark.parametrize("name, chan", EVERY_OUTPUT, ids=[c[0] for c in EVERY_OUTPUT])
     @pytest.mark.parametrize("epsilon", [0.4, 1.0])
     def test_certify_matches_or_beats_search_and_witness_attains(self, name, chan, epsilon):
         gamma = math.exp(epsilon)
         result = privacy.certify(chan, privacy.PrivacyParams(epsilon), SMALL_BUDGET)
-        searched, _, _ = privacy._search_orthogonal_pairs(
-            chan, privacy._objective_hockey(chan.transfer, gamma), SMALL_BUDGET, 0
+        searched, _, _ = fs.search_orthogonal_pairs(
+            chan, fs.objective_hockey(chan.transfer, gamma), SMALL_BUDGET, 0
         )
         assert result.worst_value >= searched - 1e-12
         a, b = (qc.apply(chan, s.to_density_matrix()) for s in result.witness_pair)
         assert dv.hockey_stick(a, b, gamma) == pytest.approx(result.worst_value, abs=1e-12)
 
-    @pytest.mark.parametrize("name, chan", QUBIT_OUTPUT, ids=[c[0] for c in QUBIT_OUTPUT])
+    @pytest.mark.parametrize("name, chan", EVERY_OUTPUT, ids=[c[0] for c in EVERY_OUTPUT])
     def test_estimate_matches_or_beats_search(self, name, chan):
-        searched, _, _ = privacy._search_orthogonal_pairs(
-            chan, privacy._objective_dmax(chan.transfer), SMALL_BUDGET, 0
+        searched, _, _ = fs.search_orthogonal_pairs(
+            chan, fs.objective_dmax(chan.transfer), SMALL_BUDGET, 0
         )
         assert privacy.estimate_epsilon(chan, SMALL_BUDGET) >= searched - 1e-12
 
@@ -245,8 +263,8 @@ class TestBlochDual:
         positive value and rejects."""
         chan = QUBIT_OUTPUT[-1][1]
         params = privacy.PrivacyParams(1.0)
-        searched, _, _ = privacy._search_orthogonal_pairs(
-            chan, privacy._objective_hockey(chan.transfer, math.e), privacy.SearchBudget(), 0
+        searched, _, _ = fs.search_orthogonal_pairs(
+            chan, fs.objective_hockey(chan.transfer, math.e), privacy.SearchBudget(), 0
         )
         assert searched <= 0.0
         result = privacy.certify(chan, params)
@@ -255,11 +273,20 @@ class TestBlochDual:
 
 
 class TestHighEpsilon:
-    """No qubit-route value comes from out1 - gamma out2, so large gamma is harmless."""
+    """Every value is read from A^dag(M) with its terms clipped to [0, 1],
+    never from the spectrum of out1 - gamma out2, so none exceeds 1."""
 
     @pytest.mark.parametrize("epsilon", [1.0, 20.0, 50.0, 300.0, 700.0])
     def test_identity_rejected_with_value_at_most_one(self, epsilon):
         ident = qc.KrausChannel((np.eye(2),))
+        result = privacy.certify(ident, privacy.PrivacyParams(epsilon), SMALL_BUDGET)
+        assert result.worst_value <= 1.0 + 1e-12
+        assert not result.certified
+
+    @pytest.mark.parametrize("epsilon", [1.0, 20.0, 50.0, 300.0, 700.0])
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_wider_identity_rejected_with_value_at_most_one(self, dim, epsilon):
+        ident = qc.KrausChannel((np.eye(dim),))
         result = privacy.certify(ident, privacy.PrivacyParams(epsilon), SMALL_BUDGET)
         assert result.worst_value <= 1.0 + 1e-12
         assert not result.certified
@@ -279,6 +306,36 @@ class TestHighEpsilon:
         result = privacy.certify(mech, privacy.PrivacyParams(epsilon), SMALL_BUDGET)
         assert result.certified
         assert result.worst_value == pytest.approx(0.0, abs=1e-15)
+
+
+class TestWiderOutputs:
+    """The dual ascent on outputs wider than a qubit, against closed forms."""
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("dim", [3, 4, 8, 16])
+    def test_depolarizing_matches_closed_forms(self, dim, p):
+        """For Dep_p on d levels, orthogonal pure inputs give outputs with
+        eigenvalues 1 - p + p/d, p/d and 0 else; so the worst E_{e^eps} is
+        max(0, 1 - p + p (1 - e^eps) / d) and the level is ln(1 + d (1 - p) / p)."""
+        chan = qc.depolarizing_channel(dim, p)
+        for epsilon in (0.5, 1.0):
+            result = privacy.certify(chan, privacy.PrivacyParams(epsilon))
+            expected = max(0.0, 1.0 - p + p * (1.0 - math.exp(epsilon)) / dim)
+            assert result.worst_value == pytest.approx(expected, abs=1e-12)
+        level = math.log1p(dim * (1.0 - p) / p)
+        assert privacy.estimate_epsilon(chan) == pytest.approx(level, rel=1e-12)
+
+    def test_rank_deficient_channel_has_no_finite_epsilon(self):
+        """Kraus rank 3 < 8: some input maps to a pure output whose support
+        another, orthogonal input's output misses."""
+        chan = qc.random_channel(8, 3, 3, seed=10)
+        assert math.isinf(privacy.estimate_epsilon(chan))
+
+    def test_rank_deficient_channel_rejected_at_full_value(self):
+        chan = qc.random_channel(8, 3, 3, seed=10)
+        result = privacy.certify(chan, privacy.PrivacyParams(5.0))
+        assert result.worst_value >= 1.0 - 1e-12
+        assert not result.certified
 
 
 class TestPurifyDp:
