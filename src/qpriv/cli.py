@@ -209,36 +209,16 @@ def _cmd_certify(args) -> int:
 
 
 def _contraction_rows(cfg: RunConfig) -> list[dict]:
-    tasks = []
-    for i, eps in enumerate(_EPS_GRID_TRACE):
-        tasks.append(("trace", privacy.PrivacyParams(eps), None, cfg.seed * 1000 + i))
-    for i, eps in enumerate(_EPS_GRID_TRACE):
-        tasks.append(("hockey_grid", privacy.PrivacyParams(eps), None, cfg.seed * 1000 + 100 + i))
-    for i, (eps, delta) in enumerate(_EPS_DELTA_GRID):
-        tasks.append(("trace", privacy.PrivacyParams(eps, delta), None, cfg.seed * 1000 + 200 + i))
-    for i, eps in enumerate(_EPS_GRID_AUX):
-        tasks.append(("bures", privacy.PrivacyParams(eps), None, cfg.seed * 1000 + 300 + i))
-    for i, eps in enumerate(_EPS_GRID_AUX):
-        tasks.append(("relent", privacy.PrivacyParams(eps), None, cfg.seed * 1000 + 400 + i))
-
-    def run(task):
-        kind, params, gamma, seed = task
-        if kind == "hockey_grid":
-            grid = np.geomspace(math.exp(-params.epsilon), math.exp(params.epsilon), 11)
-            return contraction.scan_hockey_grid(
-                params, grid, trials=cfg.trials, seed=seed, tol_scan=cfg.tol_scan
-            )
-        return [
-            contraction.scan(
-                kind, params, gamma, trials=cfg.trials, seed=seed, tol_scan=cfg.tol_scan
-            )
-        ]
-
-    return [
-        {**rep.to_dict(include_witness=False), "seed": cfg.seed}
-        for result in _pooled_map(run, tasks)
-        for rep in result
-    ]
+    """Every contraction row, scored on one sampled ensemble drawn from ``cfg.seed``."""
+    rows = [("trace", privacy.PrivacyParams(eps), None) for eps in _EPS_GRID_TRACE]
+    for eps in _EPS_GRID_TRACE:
+        grid = np.geomspace(math.exp(-eps), math.exp(eps), 11)
+        rows += [("hockey", privacy.PrivacyParams(eps), float(g)) for g in grid]
+    rows += [("trace", privacy.PrivacyParams(e, d), None) for e, d in _EPS_DELTA_GRID]
+    for kind in ("bures", "relent"):
+        rows += [(kind, privacy.PrivacyParams(eps), None) for eps in _EPS_GRID_AUX]
+    reports = contraction._scan_rows(rows, (2, 3, 4), cfg.trials, cfg.seed, None, cfg.tol_scan)
+    return [{**rep.to_dict(include_witness=False), "seed": cfg.seed} for rep in reports]
 
 
 _CONTRACTION_COLUMNS = [
@@ -416,29 +396,27 @@ def _pooled_map(fn, tasks):
         return list(pool.map(fn, tasks))
 
 
+def _sample_complexity_outside(row: dict) -> bool:
+    exact = row["sc_exact"]
+    return exact is not None and not (row["sc_lower"] - 1 < exact <= math.ceil(row["sc_upper"]))
+
+
+# suite -> (row builder, columns, the rows that are findings)
+_SUITES = {
+    "contraction": (_contraction_rows, _CONTRACTION_COLUMNS, lambda r: r["violation"]),
+    "sample_complexity": (_sample_complexity_rows, _SAMPLE_COLUMNS, _sample_complexity_outside),
+    "applications": (_applications_rows, _APPLICATION_COLUMNS, lambda r: not r["holds"]),
+}
+
+
 def _cmd_reproduce(args) -> int:
     cfg = RunConfig.from_args(args)
     os.makedirs(cfg.output_path, exist_ok=True)
-    suites = (
-        ["contraction", "sample_complexity", "applications"]
-        if args.suite == "all"
-        else [args.suite]
-    )
+    suites = list(_SUITES) if args.suite == "all" else [args.suite]
     any_violation = False
-    for suite in suites:
-        if suite == "contraction":
-            rows, columns = _contraction_rows(cfg), _CONTRACTION_COLUMNS
-            any_violation |= any(r["violation"] for r in rows)
-        elif suite == "sample_complexity":
-            rows, columns = _sample_complexity_rows(cfg), _SAMPLE_COLUMNS
-            any_violation |= any(
-                r["sc_exact"] is not None
-                and not (r["sc_lower"] - 1 < r["sc_exact"] <= math.ceil(r["sc_upper"]))
-                for r in rows
-            )
-        else:
-            rows, columns = _applications_rows(cfg), _APPLICATION_COLUMNS
-            any_violation |= any(not r["holds"] for r in rows)
+    for suite, rows in zip(suites, _pooled_map(lambda s: _SUITES[s][0](cfg), suites)):
+        _, columns, finding = _SUITES[suite]
+        any_violation |= any(finding(r) for r in rows)
         path = os.path.join(cfg.output_path, f"{suite}.{cfg.format}")
         _write_table(rows, columns, path, cfg.format)
         print(f"wrote {path} ({len(rows)} rows)")

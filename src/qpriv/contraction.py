@@ -4,13 +4,16 @@ The bounds quantify, for private channels, how much each divergence can
 shrink relative to its input value (or relative to the input trace distance).
 The scanner draws channels from the certified family built in
 :mod:`qpriv.privacy`, together with state pairs from a mixed ensemble, and
-records the largest divergence ratio observed against the closed form.
+records the largest divergence ratio observed against the closed form. The
+ensemble does not depend on the privacy parameters, so any set of rows can
+share one: ``reproduce`` scores all of its contraction rows on one draw.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -146,7 +149,12 @@ def bound_f_divergence(params: PrivacyParams, f: ConvexFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sample_chunk(rng: np.random.Generator, m: int, dim: int, p_mech: float) -> dict:
+def _sample_chunk(rng: np.random.Generator, m: int, dim: int) -> dict:
+    """Input pairs, channels in the Heisenberg picture, pair masks and witness slices.
+
+    Nothing here depends on the mechanism weight p: one chunk serves every
+    row of a scan, and :func:`_outputs` applies each p.
+    """
     source = rng.choice(3, size=m, p=_MIX)
     extremal = source == 2
 
@@ -164,11 +172,8 @@ def _sample_chunk(rng: np.random.Generator, m: int, dim: int, p_mech: float) -> 
         in2[~mixed] = bk.projectors_from_vectors(frames[:, :, 1])
 
     effects = bk.random_effects(rng, m, dim)
-    n_ext = int(np.count_nonzero(extremal))
-    if n_ext:
-        effects[extremal] = bk.positive_eigenspace_projectors(
-            in1[extremal] - in2[extremal]
-        )
+    if extremal.any():
+        effects[extremal] = bk.positive_eigenspace_projectors(in1[extremal] - in2[extremal])
     pre_kraus = bk.random_channel_batch(rng, m, dim, dim, 2)
     post_kraus = bk.random_channel_batch(rng, m, 2, 2, 2)
 
@@ -180,25 +185,21 @@ def _sample_chunk(rng: np.random.Generator, m: int, dim: int, p_mech: float) -> 
     images = np.einsum("nkai,nkbi->niab", post_kraus, post_kraus.conj())
     images[extremal] = np.eye(2)[:, :, None] * np.eye(2)[:, None, :]
 
-    return {
-        "in1": in1,
-        "in2": in2,
-        "out1": _mechanism_outputs(in1, heis, images, p_mech),
-        "out2": _mechanism_outputs(in2, heis, images, p_mech),
-        "extremal": extremal,
-        "effects": effects,
-        "pre_kraus": pre_kraus,
-        "post_kraus": post_kraus,
-    }
+    return {"in1": in1, "in2": in2, "heis": heis, "images": images, "mixed": mixed,
+            "extremal": extremal, "effects": effects, "pre_kraus": pre_kraus,
+            "post_kraus": post_kraus}
 
 
-def _mechanism_outputs(states, heis, images, p_mech: float) -> np.ndarray:
-    """post(Dep_p(readout(pre(rho)))) as a P_0 + b P_1, from E and P_i."""
-    t = np.real(np.einsum("nij,nji->n", heis, states))
-    tr = np.real(np.trace(states, axis1=-2, axis2=-1))
-    a = (1.0 - p_mech) * t + 0.5 * p_mech * tr
-    b = (1.0 - p_mech) * (tr - t) + 0.5 * p_mech * tr
-    return a[:, None, None] * images[:, 0] + b[:, None, None] * images[:, 1]
+def _outputs(data: dict, p_mech: float) -> list[np.ndarray]:
+    """post(Dep_p(readout(pre(rho)))) of both inputs as a P_0 + b P_1, from E and P_i."""
+    outs, images = [], data["images"]
+    for states in (data["in1"], data["in2"]):
+        t = np.real(np.einsum("nij,nji->n", data["heis"], states))
+        tr = np.real(np.trace(states, axis1=-2, axis2=-1))
+        a = (1.0 - p_mech) * t + 0.5 * p_mech * tr
+        b = (1.0 - p_mech) * (tr - t) + 0.5 * p_mech * tr
+        outs.append(a[:, None, None] * images[:, 0] + b[:, None, None] * images[:, 1])
+    return outs
 
 
 def _witness(pair: dict, params: PrivacyParams):
@@ -215,17 +216,52 @@ def _witness(pair: dict, params: PrivacyParams):
     return channel, states, kind
 
 
-def _numden(divergence_id: str, data: dict, gamma, f, delta: float):
-    """The output divergence and the input reference quantity of every pair in a chunk."""
-    pairs = (data["out1"], data["out2"]), (data["in1"], data["in2"])
+def _hockey_floor(gamma: float) -> float:
+    """Rounding bound 8u (3 + gamma), u = 2^-53, of a qubit-output hockey-stick numerator.
+
+    The outputs are unit-trace states rounded in every entry. At gamma >= 1
+    the numerator is the positive part of one root of x - gamma y; at
+    gamma < 1 it is a positive eigensum less 1 - gamma, which leaves a larger
+    residue. In 2^17 sampled pairs per row (d = 2, 3, 4, 8) the largest was
+    4u (1 + gamma) at gamma = e^eps and 16u at gamma = e^-2. A numerator at
+    or below the bound reads 0; on the bound-0 rows (gamma = e^+-eps) every
+    true numerator is 0. A floored ratio was at most 8u (3 + gamma) /
+    TOL_DENOM = 9.2e-7 < TOL_SCAN at gamma = e^2, the top of the reproduce
+    grids, so there a floored pair cannot hide a violation.
+    """
+    return 8.0 * 2.0**-53 * (3.0 + gamma)
+
+
+def _measures(divergence_id: str, gamma, f, delta: float):
+    """A row's output measure, then its input reference: memo key, exact value
+    on orthogonal pure pairs (T = 1, E_gamma = min(1, gamma); None: none) and measure.
+    """
     if divergence_id == "hockey":
-        return [bk.hockey_stick_ext_batch(x, y, gamma) for x, y in pairs]
+        hockey = partial(bk.hockey_stick_ext_batch, gamma=gamma)
+
+        def floored(x, y):
+            value = hockey(x, y)
+            value[value <= _hockey_floor(gamma)] = 0.0
+            return value
+
+        return floored, ("hockey", gamma), min(1.0, gamma), hockey
+    f_div = partial(bk.f_divergence_batch, f=f)
     if divergence_id == "f_div" and delta > 0.0:
-        return [bk.f_divergence_batch(x, y, f) for x, y in pairs]
+        return f_div, "f_div", None, f_div
     num = {"trace": bk.trace_distance_batch, "bures": bk.bures_squared_batch,
-           "relent": bk.relative_entropy_batch,
-           "f_div": lambda x, y: bk.f_divergence_batch(x, y, f)}[divergence_id]
-    return num(*pairs[0]), bk.trace_distance_batch(*pairs[1])
+           "relent": bk.relative_entropy_batch, "f_div": f_div}[divergence_id]
+    return num, "trace", 1.0, bk.trace_distance_batch
+
+
+def _input_reference(data: dict, exact, measure) -> np.ndarray:
+    """``measure`` of a chunk's input pairs, taking ``exact`` on the orthogonal pure ones."""
+    if exact is None:
+        return measure(data["in1"], data["in2"])
+    mixed = data["mixed"]
+    value = np.full(mixed.shape, exact)
+    if mixed.any():
+        value[mixed] = measure(data["in1"][mixed], data["in2"][mixed])
+    return value
 
 
 def _theory(divergence_id: str, params: PrivacyParams, gamma, f):
@@ -266,70 +302,55 @@ def _validate_scan_args(divergence_id, params, gamma, dims):
             )
 
 
-def _scan_reports(
-    divergence_id: str,
-    params: PrivacyParams,
-    gammas: list,
-    dims,
-    trials: int,
-    seed,
-    f: ConvexFunction | None,
-    tol_scan: float,
-) -> list[ContractionReport]:
-    """The trial loop behind :func:`scan` and :func:`scan_hockey_grid`.
+def _scan_rows(rows, dims, trials: int, seed, f, tol_scan: float) -> list[ContractionReport]:
+    """The trial loop behind every scan: rows (divergence_id, params, gamma) on one ensemble.
 
-    Every gamma is scored on each sampled chunk. Only the best pair's slices
-    are kept while sampling; each witness channel is built once, at the end.
+    Each chunk is sampled once. Its outputs are formed once per distinct
+    mechanism weight and its input references once per kind, and each row
+    keeps its own best pair, so a row's report is the one a one-row call on
+    the same dims, trials and seed returns. Each witness channel is built
+    once, at the end.
     """
-    theories = [_theory(divergence_id, params, g, f) for g in gammas]
-    p_mech = mechanism_weight(params)
+    for divergence_id, params, gamma in rows:
+        _validate_scan_args(divergence_id, params, gamma, dims)
+    theories = [_theory(divergence_id, params, gamma, f) for divergence_id, params, gamma in rows]
+    weights = [mechanism_weight(params) for _, params, _ in rows]
+    measures = [_measures(div, gamma, f, params.delta) for div, params, gamma in rows]
     rng = as_rng(seed)
 
-    best = [-math.inf] * len(gammas)
-    best_pair = [None] * len(gammas)
-    valid = [0] * len(gammas)
+    best, best_pair, valid = [-math.inf] * len(rows), [None] * len(rows), [0] * len(rows)
     for j, dim in enumerate(dims):
         budget = trials // len(dims) + (trials % len(dims) if j == 0 else 0)
-        done = 0
-        while done < budget:
-            m = min(_CHUNK, budget - done)
-            data = _sample_chunk(rng, m, dim, p_mech)
-            for gi, g in enumerate(gammas):
-                num, den = _numden(divergence_id, data, g, f, params.delta)
+        for done in range(0, budget, _CHUNK):
+            data = _sample_chunk(rng, min(_CHUNK, budget - done), dim)
+            outs = {p: _outputs(data, p) for p in set(weights)}
+            inputs = {}
+            for r, (num_of, key, exact, reference) in enumerate(measures):
+                if key not in inputs:
+                    inputs[key] = _input_reference(data, exact, reference)
+                num, den = num_of(*outs[weights[r]]), inputs[key]
                 mask = (den >= TOL_DENOM) & np.isfinite(num)
-                valid[gi] += int(np.count_nonzero(mask))
+                valid[r] += int(np.count_nonzero(mask))
                 if np.any(mask):
                     ratio = np.where(mask, num / np.where(mask, den, 1.0), -math.inf)
                     i = int(np.argmax(ratio))
-                    if ratio[i] > best[gi]:
-                        best[gi] = float(ratio[i])
-                        best_pair[gi] = {key: value[i].copy() for key, value in data.items()}
-            done += m
+                    if ratio[i] > best[r]:
+                        best[r] = float(ratio[i])
+                        best_pair[r] = {name: value[i].copy() for name, value in data.items()}
 
     reports = []
-    for g, (bound, relative_to), sup, pair, n_valid in zip(
-        gammas, theories, best, best_pair, valid
+    for (divergence_id, params, gamma), (bound, relative_to), sup, pair, n_valid in zip(
+        rows, theories, best, best_pair, valid
     ):
         if n_valid == 0:
-            raise NoValidPairs(f"every sampled pair had a degenerate denominator (gamma={g})")
+            raise NoValidPairs(f"every sampled pair had a degenerate denominator (gamma={gamma})")
         channel, states, kind = _witness(pair, params)
-        reports.append(
-            ContractionReport(
-                divergence_id=divergence_id,
-                epsilon=params.epsilon,
-                delta=params.delta,
-                gamma=g,
-                theory_bound=bound,
-                empirical_sup=sup,
-                witness_states=states,
-                witness_channel=channel,
-                witness_kind=kind,
-                trials=trials,
-                valid_pairs=n_valid,
-                violation=sup > bound + tol_scan,
-                relative_to=relative_to,
-            )
-        )
+        reports.append(ContractionReport(
+            divergence_id=divergence_id, epsilon=params.epsilon, delta=params.delta,
+            gamma=gamma, theory_bound=bound, empirical_sup=sup, witness_states=states,
+            witness_channel=channel, witness_kind=kind, trials=trials, valid_pairs=n_valid,
+            violation=sup > bound + tol_scan, relative_to=relative_to,
+        ))
     return reports
 
 
@@ -352,8 +373,7 @@ def scan(
     ratio of the output divergence to the reference input quantity.
     Denominators below ``TOL_DENOM`` are skipped.
     """
-    _validate_scan_args(divergence_id, params, gamma, dims)
-    return _scan_reports(divergence_id, params, [gamma], dims, trials, seed, f, tol_scan)[0]
+    return _scan_rows([(divergence_id, params, gamma)], dims, trials, seed, f, tol_scan)[0]
 
 
 def scan_hockey_grid(
@@ -367,12 +387,11 @@ def scan_hockey_grid(
 ) -> list[ContractionReport]:
     """Hockey-stick scan over a gamma grid sharing one trial ensemble.
 
-    Runs the trial loop of :func:`scan` once and scores every gamma on the
-    same sampled channels and state pairs, so report k equals
-    ``scan("hockey", params, gammas[k], dims, trials, seed)`` exactly, while
-    the whole grid costs one sampling pass.
+    Every gamma is scored on the same sampled channels and state pairs, so
+    report k equals ``scan("hockey", params, gammas[k], dims, trials, seed)``
+    exactly, while the whole grid costs one sampling pass. The ensemble does
+    not depend on epsilon or delta either: ``reproduce`` scores all of its
+    contraction rows on one ensemble in the same way.
     """
-    gammas = [float(g) for g in gammas]
-    for g in gammas:
-        _validate_scan_args("hockey", params, g, dims)
-    return _scan_reports("hockey", params, gammas, dims, trials, seed, None, tol_scan)
+    rows = [("hockey", params, float(g)) for g in gammas]
+    return _scan_rows(rows, dims, trials, seed, None, tol_scan)

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: exit codes, formats, determinism."""
 
+import csv
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import qpriv
-from qpriv import cli
+from qpriv import cli, contraction
 from qpriv import divergences as dv
 from qpriv import hypothesis as hyp
 from qpriv import privacy
@@ -98,6 +99,27 @@ class TestReproduceCommand:
         assert (out1 / "contraction.csv").read_bytes() == (
             out2 / "contraction.csv"
         ).read_bytes()
+
+    def test_bound_zero_hockey_rows_read_zero(self, tmp_path, monkeypatch):
+        """The numerator floor zeroes the gamma = e^+-eps rows and moves no other row."""
+
+        def table(name):
+            out = tmp_path / name
+            args = ["reproduce", "contraction", "--seed", "3", "--trials", "2000"]
+            assert cli.main([*args, "--out", str(out)]) == 0
+            with open(out / "contraction.csv", encoding="utf-8") as fh:
+                return list(csv.DictReader(fh))
+
+        floored = table("floored")
+        monkeypatch.setattr(contraction, "_hockey_floor", lambda gamma: -math.inf)
+        raw = table("raw")
+        zero = [(a, b) for a, b in zip(floored, raw) if float(a["theory_bound"]) == 0.0]
+        assert len(zero) == 8 and all(a["divergence_id"] == "hockey" for a, _ in zero)
+        assert all(float(a["empirical_sup"]) == 0.0 for a, _ in zero)
+        assert any(float(b["empirical_sup"]) != 0.0 for _, b in zero)  # residue without it
+        assert [a for a in floored if float(a["theory_bound"]) != 0.0] == [
+            b for b in raw if float(b["theory_bound"]) != 0.0
+        ]
 
     def test_reproduce_all_emits_every_table(self, tmp_path):
         out = tmp_path / "all"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qpriv import _batched as bk
 from qpriv import contraction as ct
 from qpriv import divergences as dv
 from qpriv import errors
@@ -120,7 +121,8 @@ class TestSampleChunk:
         """Heisenberg-picture outputs equal the dense channel applied to the inputs."""
         params = privacy.PrivacyParams(1.0, delta)
         p_mech = privacy.mechanism_weight(params)
-        data = ct._sample_chunk(np.random.default_rng(30 + dim), 60, dim, p_mech)
+        data = ct._sample_chunk(np.random.default_rng(30 + dim), 60, dim)
+        data["out1"], data["out2"] = ct._outputs(data, p_mech)
         purity = np.real(np.einsum("nij,nji->n", data["in1"], data["in1"]))
         assert np.any(purity < 1.0 - 1e-9)  # mixed pairs
         assert np.any((purity > 1.0 - 1e-9) & ~data["extremal"])  # pure pairs
@@ -133,6 +135,42 @@ class TestSampleChunk:
                 np.testing.assert_allclose(
                     out, qc.apply(channel, state).entries, rtol=0, atol=1e-12
                 )
+
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_orthogonal_pure_pairs_have_exact_input_references(self, dim):
+        """T = 1 and E_gamma = min(1, gamma) on the pairs the scan does not compute."""
+        data = ct._sample_chunk(np.random.default_rng(40 + dim), 300, dim)
+        pure = ~data["mixed"]
+        in1, in2 = data["in1"][pure], data["in2"][pure]
+        for gamma in (math.exp(-2.0), 0.5, 1.0, 2.0, math.exp(2.0)):
+            np.testing.assert_allclose(
+                bk.hockey_stick_ext_batch(in1, in2, gamma), min(1.0, gamma), rtol=0, atol=1e-14
+            )
+        np.testing.assert_allclose(bk.trace_distance_batch(in1, in2), 1.0, rtol=0, atol=1e-14)
+
+
+class TestScanRows:
+    def test_each_row_equals_its_own_scan(self):
+        """Rows scored on one shared ensemble equal their one-row scans bit for bit."""
+        dims, trials, seed, kl = (2, 3, 4), 300, 31, dv.kl_function()
+        eps1 = privacy.PrivacyParams(1.0)
+        grid = [float(g) for g in np.geomspace(math.exp(-1.0), math.exp(1.0), 5)]
+        alone = [
+            ("trace", eps1, None),
+            ("trace", privacy.PrivacyParams(LN3, 0.3), None),
+            ("bures", privacy.PrivacyParams(0.5), None),
+            ("relent", privacy.PrivacyParams(2.0), None),
+            ("f_div", privacy.PrivacyParams(1.0, 0.2), None),
+        ]
+        rows = alone[:2] + [("hockey", eps1, g) for g in grid] + alone[2:]
+        shared = ct._scan_rows(rows, dims, trials, seed, kl, ct.TOL_SCAN)
+        expected = [ct.scan(*row, dims, trials, seed, f=kl) for row in alone]
+        expected[2:2] = ct.scan_hockey_grid(eps1, grid, dims, trials, seed)
+        assert len(shared) == len(expected) == len(rows)
+        for got, want in zip(shared, expected):
+            assert got.to_dict() == want.to_dict()  # empirical_sup, witness_kind, witness
+            assert got.valid_pairs == want.valid_pairs
 
 
 class TestScan:
@@ -201,9 +239,8 @@ class TestScan:
         for j, dim in enumerate(dims):
             budget = trials // len(dims) + (trials % len(dims) if j == 0 else 0)
             for done in range(0, budget, ct._CHUNK):
-                data = ct._sample_chunk(
-                    rng, min(ct._CHUNK, budget - done), dim, privacy.mechanism_weight(params)
-                )
+                data = ct._sample_chunk(rng, min(ct._CHUNK, budget - done), dim)
+                data["out1"], data["out2"] = ct._outputs(data, privacy.mechanism_weight(params))
                 for i, extremal in enumerate(data["extremal"]):
                     num = dv.f_divergence(data["out1"][i], data["out2"][i], f)
                     a, b = data["in1"][i], data["in2"][i]
