@@ -136,7 +136,6 @@ class TestSampleChunk:
                     out, qc.apply(channel, state).entries, rtol=0, atol=1e-12
                 )
 
-
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_orthogonal_pure_pairs_have_exact_input_references(self, dim):
         """T = 1 and E_gamma = min(1, gamma) on the pairs the scan does not compute."""
