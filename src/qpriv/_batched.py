@@ -73,6 +73,7 @@ def eigvals_2x2_herm(m: np.ndarray) -> np.ndarray:
 
 
 def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of stacked Hermitian matrices; 2 x 2 ones take the closed form."""
     return eigvals_2x2_herm(m) if m.shape[-1] == 2 else np.linalg.eigvalsh(m)
 
 

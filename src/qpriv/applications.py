@@ -17,14 +17,13 @@ from . import _batched as bk
 from .contraction import trace_contraction_coefficient
 from .errors import DimensionMismatch, InvalidParams
 from .privacy import PrivacyParams
-from .quantum_core import DensityMatrix, KrausChannel, Povm, as_rng
+from .quantum_core import DensityMatrix, KrausChannel, Povm
 
 # Eigenvalues are floored here before x log x to avoid log(0).
 ENTROPY_FLOOR = 1e-15
 
 STABILITY_TOL = 1e-9
 FAIRNESS_TOL = 1e-9
-DEFAULT_CERTIFICATE_PAIRS = 500
 
 
 @dataclass(frozen=True)
@@ -57,16 +56,14 @@ class Ensemble:
 def von_neumann_entropy(state) -> float:
     """Entropy -Tr[rho log rho] with the eigenvalue floor applied."""
     m = state.entries if isinstance(state, DensityMatrix) else np.asarray(state)
-    w = np.clip(np.linalg.eigvalsh(m), ENTROPY_FLOOR, None)
+    w = np.clip(bk._eigvalsh(m), ENTROPY_FLOOR, None)
     return float(-np.sum(w * np.log(w)))
 
 
 def fairness_distance(channel: KrausChannel, povm: Povm, rho, sigma) -> float:
     """Output-distribution total variation (1/2) sum_i |Tr[M_i A(rho - sigma)]|."""
     if povm.dim != channel.dim_out:
-        raise DimensionMismatch(
-            f"POVM dim {povm.dim} does not match channel output {channel.dim_out}"
-        )
+        raise DimensionMismatch(f"POVM dim {povm.dim} != channel output dim {channel.dim_out}")
     rho_m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho)
     sigma_m = sigma.entries if isinstance(sigma, DensityMatrix) else np.asarray(sigma)
     if rho_m.shape != sigma_m.shape or rho_m.shape[0] != channel.dim_in:
@@ -83,32 +80,35 @@ def fairness_certificate(
     povm: Povm,
     params: PrivacyParams,
     alpha_bound: float,
-    pairs: int = DEFAULT_CERTIFICATE_PAIRS,
-    seed=0,
+    pairs=None,
+    seed=None,
 ) -> tuple[bool, float]:
-    """Sampled check that inputs within trace distance alpha give similar readouts.
+    """Exact check that inputs within trace distance alpha give similar readouts.
 
-    Pairs are drawn by rejection plus interpolation toward the trace-distance
-    ball of radius ``alpha_bound``; each must have output-distribution
-    distance at most alpha_bound * (e^eps - 1 + 2 delta) / (e^eps + 1).
-    Returns (holds, minimum slack); sampling makes this a sound rejector only.
+    Returns (holds, margin): alpha (e^eps - 1 + 2 delta) / (e^eps + 1) less
+    the largest output-distribution distance at T(rho, sigma) <= alpha,
+    alpha max_S (lambda_max - lambda_min)(A^dag(sum_{i in S} M_i)) over
+    outcome subsets S without the last outcome (a complement has the same
+    spread), attained by rho = alpha psi + (1 - alpha) tau and sigma =
+    alpha phi + (1 - alpha) tau (psi, phi extreme eigenvectors, tau any
+    state). ``pairs`` and ``seed`` are accepted and unused. Rounding rule:
+    each term carries a few d u alpha of rounding (u = 2^-53, d the input
+    dimension; eigenvalues of 0 <= A^dag(M_S) <= I have a backward error of
+    a few d u), so a margin within 8 d u alpha of 0 reads 0: rounding alone
+    never turns a tight mechanism's exact margin of 0 negative.
     """
     if not 0.0 < alpha_bound <= 1.0:
         raise InvalidParams(f"alpha_bound must be in (0, 1], got {alpha_bound}")
-    bound = alpha_bound * trace_contraction_coefficient(params)
-    rng = as_rng(seed)
-    dim = channel.dim_in
-    margin = math.inf
-    for _ in range(pairs):
-        rho = bk.ginibre_states(rng, 1, dim)[0]
-        sigma = bk.ginibre_states(rng, 1, dim)[0]
-        t0 = float(bk.trace_distance_batch(rho[None], sigma[None])[0])
-        if t0 > alpha_bound:
-            t = float(rng.uniform(0.0, 1.0)) * alpha_bound / t0
-            sigma = (1.0 - t) * rho + t * sigma
-        margin = min(
-            margin, bound - fairness_distance(channel, povm, rho, sigma)
-        )
+    if povm.dim != channel.dim_out:
+        raise DimensionMismatch(f"POVM dim {povm.dim} != channel output dim {channel.dim_out}")
+    effects, kraus, n = np.stack(povm.effects), np.stack(channel.kraus), len(povm.effects)
+    subsets = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    tests = np.tensordot(subsets, effects[:-1], 1)  # sum_{i in S} M_i
+    w = bk._eigvalsh(np.einsum("kai,sab,kbj->sij", kraus.conj(), tests, kraus))
+    spread = float(np.max(w[:, -1] - w[:, 0]))
+    margin = alpha_bound * (trace_contraction_coefficient(params) - spread)
+    if abs(margin) <= 8.0 * channel.dim_in * 2.0**-53 * alpha_bound:
+        margin = 0.0
     return margin >= -FAIRNESS_TOL, margin
 
 

@@ -3,16 +3,18 @@
 The bounds quantify, for private channels, how much each divergence can
 shrink relative to its input value (or relative to the input trace distance).
 The scanner draws channels from the certified family built in
-:mod:`qpriv.privacy`, together with state pairs from a mixed ensemble, and
-records the largest divergence ratio observed against the closed form. The
-ensemble does not depend on the privacy parameters, so any set of rows can
-share one: ``reproduce`` scores all of its contraction rows on one draw.
+:mod:`qpriv.privacy` and records the largest divergence ratio found against
+the closed form. Trace and hockey-stick rows score each channel exactly, on
+the orthogonal pure pair of its readout's extreme eigenvectors; the other
+rows score state pairs from a mixed ensemble. The ensemble does not depend on
+the privacy parameters, so any set of rows can share one: ``reproduce``
+scores all of its contraction rows on one draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -44,7 +46,10 @@ class ContractionReport:
     distance). ``violation`` flags an excess over ``theory_bound`` beyond the
     scan tolerance; it is a finding, never an exception. ``valid_pairs`` counts
     the trials whose denominator reached ``TOL_DENOM`` with a finite numerator;
-    the other ``trials - valid_pairs`` were skipped.
+    the other ``trials - valid_pairs`` were skipped. Trace and hockey-stick
+    rows score every channel at its own supremum, so there ``valid_pairs`` is
+    ``trials`` and ``witness_states`` project onto the top and bottom
+    eigenvectors of the witness readout's effect E, winning order first.
     """
 
     divergence_id: str
@@ -64,19 +69,8 @@ class ContractionReport:
     def to_dict(self, include_witness: bool = True) -> dict:
         from .quantum_core import channel_to_dict, state_to_dict
 
-        data = {
-            "divergence_id": self.divergence_id,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "gamma": self.gamma,
-            "theory_bound": self.theory_bound,
-            "empirical_sup": self.empirical_sup,
-            "witness_kind": self.witness_kind,
-            "trials": self.trials,
-            "valid_pairs": self.valid_pairs,
-            "violation": self.violation,
-            "relative_to": self.relative_to,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("witness_states", "witness_channel")}
         if include_witness:
             data["witness_states"] = [state_to_dict(s) for s in self.witness_states]
             data["witness_channel"] = channel_to_dict(self.witness_channel)
@@ -190,132 +184,132 @@ def _sample_chunk(rng: np.random.Generator, m: int, dim: int) -> dict:
             "post_kraus": post_kraus}
 
 
+def _readout(images: np.ndarray, t, tr, p_mech: float) -> np.ndarray:
+    """post(Dep_p(readout(.))) of inputs with Tr[E rho] = t and Tr rho = tr, as a P_0 + b P_1."""
+    a = (1.0 - p_mech) * t + 0.5 * p_mech * tr
+    b = (1.0 - p_mech) * (tr - t) + 0.5 * p_mech * tr
+    return a[..., None, None] * images[:, 0] + b[..., None, None] * images[:, 1]
+
+
 def _outputs(data: dict, p_mech: float) -> list[np.ndarray]:
-    """post(Dep_p(readout(pre(rho)))) of both inputs as a P_0 + b P_1, from E and P_i."""
-    outs, images = [], data["images"]
-    for states in (data["in1"], data["in2"]):
-        t = np.real(np.einsum("nij,nji->n", data["heis"], states))
-        tr = np.real(np.trace(states, axis1=-2, axis2=-1))
-        a = (1.0 - p_mech) * t + 0.5 * p_mech * tr
-        b = (1.0 - p_mech) * (tr - t) + 0.5 * p_mech * tr
-        outs.append(a[:, None, None] * images[:, 0] + b[:, None, None] * images[:, 1])
-    return outs
+    """The outputs of both sampled inputs of every pair, from E and P_i."""
+    return [
+        _readout(data["images"], np.real(np.einsum("nij,nji->n", data["heis"], states)),
+                 np.real(np.trace(states, axis1=-2, axis2=-1)), p_mech)
+        for states in (data["in1"], data["in2"])
+    ]
+
+
+def _extreme_ratios(images: np.ndarray, spectrum: np.ndarray, p_mech: float, gammas):
+    """Each channel's exact hockey-stick contraction coefficient at every gamma (trace: gamma = 1).
+
+    The outputs depend on rho only through t = Tr[E rho], so the supremum is
+    attained on E's top and bottom eigenvectors, in one order or the other
+    (Hirche, Rouze and Franca, arXiv 2202.10717; at gamma < 1 through
+    E~_gamma(x||y) = gamma E_1/gamma(y||x)), whose input E~_gamma is
+    min(1, gamma). Returns the ratios, shape (len(gammas), m), with
+    numerators up to :func:`_hockey_floor` read as 0, and where
+    top-then-bottom wins.
+    """
+    g = np.asarray(gammas)[:, None]
+    top, bottom = (_readout(images, spectrum[:, k], 1.0, p_mech) for k in (-1, 0))
+    forward = bk.positive_eigensum(top - g[..., None, None] * bottom)
+    backward = bk.positive_eigensum(bottom - g[..., None, None] * top)
+    num = np.maximum(forward, backward) - np.maximum(0.0, 1.0 - g)
+    num[num <= _hockey_floor(g)] = 0.0
+    return num / np.minimum(1.0, g), forward >= backward
 
 
 def _witness(pair: dict, params: PrivacyParams):
-    mech = build_eps_delta_mechanism(pair["effects"], params)
-    if pair["extremal"]:
-        channel = mech
-        kind = "extremal_mechanism"
-    else:
-        pre = KrausChannel(tuple(pair["pre_kraus"]))
-        post = KrausChannel(tuple(pair["post_kraus"]))
-        channel = compose(post, compose(mech, pre))
-        kind = "random_composite"
-    states = (DensityMatrix(pair["in1"]), DensityMatrix(pair["in2"]))
-    return channel, states, kind
+    channel, kind = build_eps_delta_mechanism(pair["effects"], params), "extremal_mechanism"
+    if not pair["extremal"]:
+        pre, post = (KrausChannel(tuple(pair[name])) for name in ("pre_kraus", "post_kraus"))
+        channel, kind = compose(post, compose(channel, pre)), "random_composite"
+    inputs = (pair["in1"], pair["in2"])
+    if "forward" in pair:  # a closed-form row: E's top and bottom eigenvectors, winner first
+        top_bottom = bk.projectors_from_vectors(np.linalg.eigh(pair["heis"])[1][:, [-1, 0]].T)
+        inputs = top_bottom if pair["forward"] else top_bottom[::-1]
+    return channel, tuple(DensityMatrix(x) for x in inputs), kind
 
 
 def _hockey_floor(gamma: float) -> float:
-    """Rounding bound 8u (3 + gamma), u = 2^-53, of a qubit-output hockey-stick numerator.
+    """Rounding bound 128u (1 + gamma), u = 2^-53, of a closed-form hockey-stick numerator.
 
-    The outputs are unit-trace states rounded in every entry. At gamma >= 1
-    the numerator is the positive part of one root of x - gamma y; at
-    gamma < 1 it is a positive eigensum less 1 - gamma, which leaves a larger
-    residue. In 2^17 sampled pairs per row (d = 2, 3, 4, 8) the largest was
-    4u (1 + gamma) at gamma = e^eps and 16u at gamma = e^-2. A numerator at
-    or below the bound reads 0; on the bound-0 rows (gamma = e^+-eps) every
-    true numerator is 0. A floored ratio was at most 8u (3 + gamma) /
-    TOL_DENOM = 9.2e-7 < TOL_SCAN at gamma = e^2, the top of the reproduce
-    grids, so there a floored pair cannot hide a violation.
+    Forming and reducing the qubit outputs leaves at most 8u (3 + gamma);
+    the computed lambda_max and lambda_min of E (0 <= E <= I) add 1 + gamma
+    times their error, which grew with d to 32u at d = 8, the widest scan
+    input. At gamma = e^+-eps every true numerator is 0; in 2^16 channels
+    per d (d = 2, 3, 4, 5, 8) the largest computed one was 32u (1 + gamma)
+    (d = 8, eps >= 8). A numerator at or below the bound reads 0. A floored
+    ratio is at most 128u (1 + gamma) / min(1, gamma) <= 128u (1 + e^eps),
+    since min(1, gamma) >= e^-eps; that is under TOL_SCAN up to eps = 17, so
+    there a floored channel cannot hide a violation.
     """
-    return 8.0 * 2.0**-53 * (3.0 + gamma)
+    return 2.0**-46 * (1.0 + gamma)
 
 
-def _measures(divergence_id: str, gamma, f, delta: float):
-    """A row's output measure, then its input reference: memo key, exact value
-    on orthogonal pure pairs (T = 1, E_gamma = min(1, gamma); None: none) and measure.
+def _measures(divergence_id: str, f, delta: float):
+    """A sampled row's output measure and input reference: "f_div" (the input
+    f-divergence) or "trace" (the input trace distance, 1 on orthogonal pure pairs).
     """
-    if divergence_id == "hockey":
-        hockey = partial(bk.hockey_stick_ext_batch, gamma=gamma)
-
-        def floored(x, y):
-            value = hockey(x, y)
-            value[value <= _hockey_floor(gamma)] = 0.0
-            return value
-
-        return floored, ("hockey", gamma), min(1.0, gamma), hockey
     f_div = partial(bk.f_divergence_batch, f=f)
     if divergence_id == "f_div" and delta > 0.0:
-        return f_div, "f_div", None, f_div
-    num = {"trace": bk.trace_distance_batch, "bures": bk.bures_squared_batch,
-           "relent": bk.relative_entropy_batch, "f_div": f_div}[divergence_id]
-    return num, "trace", 1.0, bk.trace_distance_batch
+        return f_div, "f_div"
+    return {"bures": bk.bures_squared_batch, "relent": bk.relative_entropy_batch,
+            "f_div": f_div}[divergence_id], "trace"
 
 
-def _input_reference(data: dict, exact, measure) -> np.ndarray:
-    """``measure`` of a chunk's input pairs, taking ``exact`` on the orthogonal pure ones."""
-    if exact is None:
-        return measure(data["in1"], data["in2"])
-    mixed = data["mixed"]
-    value = np.full(mixed.shape, exact)
+def _input_reference(data: dict, key: str, f) -> np.ndarray:
+    if key == "f_div":
+        return bk.f_divergence_batch(data["in1"], data["in2"], f=f)
+    mixed, value = data["mixed"], np.ones(len(data["mixed"]))
     if mixed.any():
-        value[mixed] = measure(data["in1"][mixed], data["in2"][mixed])
+        value[mixed] = bk.trace_distance_batch(data["in1"][mixed], data["in2"][mixed])
     return value
 
 
 def _theory(divergence_id: str, params: PrivacyParams, gamma, f):
+    """A row's bound and denominator convention; raises on arguments no scan accepts."""
+    if divergence_id not in DIVERGENCE_IDS:
+        raise ValidationError(f"unknown divergence id {divergence_id!r}")
     if divergence_id == "trace":
         return trace_contraction_coefficient(params), "input_divergence"
-    if divergence_id == "hockey":
-        if params.delta != 0.0:
-            raise InvalidParams("hockey-stick bounds require delta = 0")
-        return bound_hockey_stick(params.epsilon, gamma), "input_divergence"
-    if divergence_id == "bures":
-        if params.delta != 0.0:
-            raise InvalidParams("the Bures bound requires delta = 0")
-        return bound_bures(params.epsilon), "input_trace_distance"
-    if divergence_id == "relent":
-        if params.delta != 0.0:
-            raise InvalidParams("the relative-entropy bound requires delta = 0")
-        return bound_relative_entropy(params.epsilon), "input_trace_distance"
     if divergence_id == "f_div":
         if f is None:
             raise ValidationError("f_div scans need a ConvexFunction")
         relative = "input_divergence" if params.delta > 0.0 else "input_trace_distance"
         return bound_f_divergence(params, f), relative
-    raise ValidationError(f"unknown divergence id {divergence_id!r}")
-
-
-def _validate_scan_args(divergence_id, params, gamma, dims):
-    if divergence_id not in DIVERGENCE_IDS:
-        raise ValidationError(f"unknown divergence id {divergence_id!r}")
-    for d in dims:
-        if not 2 <= d <= 8:
-            raise ValidationError(f"scan dims must lie in 2..8, got {d}")
+    if params.delta != 0.0:
+        raise InvalidParams(f"the {divergence_id} bound requires delta = 0")
     if divergence_id == "hockey":
         if gamma is None:
             raise ValidationError("hockey scans need gamma")
-        if gamma < math.exp(-params.epsilon) * (1.0 - 1e-12):
-            raise GammaOutOfRange(
-                f"gamma={gamma} is below e^-eps={math.exp(-params.epsilon)}"
-            )
+        return bound_hockey_stick(params.epsilon, gamma), "input_divergence"
+    bound = bound_bures if divergence_id == "bures" else bound_relative_entropy
+    return bound(params.epsilon), "input_trace_distance"
 
 
 def _scan_rows(rows, dims, trials: int, seed, f, tol_scan: float) -> list[ContractionReport]:
     """The trial loop behind every scan: rows (divergence_id, params, gamma) on one ensemble.
 
-    Each chunk is sampled once. Its outputs are formed once per distinct
-    mechanism weight and its input references once per kind, and each row
-    keeps its own best pair, so a row's report is the one a one-row call on
-    the same dims, trials and seed returns. Each witness channel is built
-    once, at the end.
+    Each chunk is sampled once. Trace and hockey-stick rows take one spectrum
+    of E per chunk and one :func:`_extreme_ratios` per mechanism weight. The
+    other rows score the sampled pairs, with outputs formed once per weight
+    and input references once per kind. Each row keeps its own best channel,
+    so a row's report is the one a one-row call on the same dims, trials and
+    seed returns. Each witness channel is built once, at the end.
     """
-    for divergence_id, params, gamma in rows:
-        _validate_scan_args(divergence_id, params, gamma, dims)
     theories = [_theory(divergence_id, params, gamma, f) for divergence_id, params, gamma in rows]
     weights = [mechanism_weight(params) for _, params, _ in rows]
-    measures = [_measures(div, gamma, f, params.delta) for div, params, gamma in rows]
+    if not all(2 <= d <= 8 for d in dims):
+        raise ValidationError(f"scan dims must lie in 2..8, got {tuple(dims)}")
+    gammas = [1.0 if gamma is None else gamma for _, _, gamma in rows]  # trace: gamma = 1
+    exact, sampled = {}, {}  # mechanism weight -> its trace and hockey rows; row -> measures
+    for r, (divergence_id, params, _) in enumerate(rows):
+        if divergence_id in ("trace", "hockey"):
+            exact.setdefault(weights[r], []).append(r)
+        else:
+            sampled[r] = _measures(divergence_id, f, params.delta)
     rng = as_rng(seed)
 
     best, best_pair, valid = [-math.inf] * len(rows), [None] * len(rows), [0] * len(rows)
@@ -323,20 +317,27 @@ def _scan_rows(rows, dims, trials: int, seed, f, tol_scan: float) -> list[Contra
         budget = trials // len(dims) + (trials % len(dims) if j == 0 else 0)
         for done in range(0, budget, _CHUNK):
             data = _sample_chunk(rng, min(_CHUNK, budget - done), dim)
-            outs = {p: _outputs(data, p) for p in set(weights)}
+            scored = []  # (row, ratio per channel, -inf where skipped; winning input order)
+            spectrum = bk._eigvalsh(data["heis"]) if exact else None
+            for p, members in exact.items():
+                grid = [gammas[r] for r in members]
+                scored += zip(members, *_extreme_ratios(data["images"], spectrum, p, grid))
+            outs = {p: _outputs(data, p) for p in {weights[r] for r in sampled}}
             inputs = {}
-            for r, (num_of, key, exact, reference) in enumerate(measures):
+            for r, (num_of, key) in sampled.items():
                 if key not in inputs:
-                    inputs[key] = _input_reference(data, exact, reference)
+                    inputs[key] = _input_reference(data, key, f)
                 num, den = num_of(*outs[weights[r]]), inputs[key]
                 mask = (den >= TOL_DENOM) & np.isfinite(num)
-                valid[r] += int(np.count_nonzero(mask))
-                if np.any(mask):
-                    ratio = np.where(mask, num / np.where(mask, den, 1.0), -math.inf)
-                    i = int(np.argmax(ratio))
-                    if ratio[i] > best[r]:
-                        best[r] = float(ratio[i])
-                        best_pair[r] = {name: value[i].copy() for name, value in data.items()}
+                scored.append((r, np.where(mask, num / np.where(mask, den, 1.0), -math.inf), None))
+            for r, ratio, forward in scored:
+                valid[r] += int(np.count_nonzero(ratio > -math.inf))
+                i = int(np.argmax(ratio))
+                if ratio[i] > best[r]:
+                    best[r] = float(ratio[i])
+                    best_pair[r] = {name: value[i].copy() for name, value in data.items()}
+                    if forward is not None:
+                        best_pair[r]["forward"] = forward[i]
 
     reports = []
     for (divergence_id, params, gamma), (bound, relative_to), sup, pair, n_valid in zip(
@@ -369,9 +370,10 @@ def scan(
 
     Draws channels from the certified family (random pre/post processing
     around built mechanisms, plus the analytic extremal construction) and
-    state pairs from a 40/40/20 mixed ensemble, then records the largest
-    ratio of the output divergence to the reference input quantity.
-    Denominators below ``TOL_DENOM`` are skipped.
+    records the largest ratio of the output divergence to the reference
+    input quantity. Trace and hockey-stick rows score each channel at its
+    exact supremum; the others score state pairs from a 40/40/20 mixed
+    ensemble and skip denominators below ``TOL_DENOM``.
     """
     return _scan_rows([(divergence_id, params, gamma)], dims, trials, seed, f, tol_scan)[0]
 
@@ -387,11 +389,9 @@ def scan_hockey_grid(
 ) -> list[ContractionReport]:
     """Hockey-stick scan over a gamma grid sharing one trial ensemble.
 
-    Every gamma is scored on the same sampled channels and state pairs, so
-    report k equals ``scan("hockey", params, gammas[k], dims, trials, seed)``
-    exactly, while the whole grid costs one sampling pass. The ensemble does
-    not depend on epsilon or delta either: ``reproduce`` scores all of its
-    contraction rows on one ensemble in the same way.
+    Every gamma is scored on the same sampled channels, so report k equals
+    ``scan("hockey", params, gammas[k], dims, trials, seed)`` exactly, while
+    the whole grid costs one sampling pass.
     """
     rows = [("hockey", params, float(g)) for g in gammas]
     return _scan_rows(rows, dims, trials, seed, None, tol_scan)

@@ -1,11 +1,13 @@
 """Tests for fairness certificates and Holevo-information stability."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from qpriv import applications as app
+from qpriv import contraction as ct
 from qpriv import divergences as dv
 from qpriv import errors
 from qpriv import privacy
@@ -107,6 +109,55 @@ class TestFairnessCertificate:
         assert margin == pytest.approx(0.0, abs=1e-12)
 
 
+class TestFairnessCertificateExact:
+    @pytest.mark.parametrize("eps, delta", [(LN3, 0.0), (1.0, 0.1), (0.5, 0.3)])
+    def test_tight_mechanisms_read_margin_zero(self, eps, delta):
+        """The reproduce rows: each output distance is alpha (1 - p), the bound itself,
+        so the margin is 0 to rounding and the rounding rule reads it as 0."""
+        params = privacy.PrivacyParams(eps, delta)
+        mech = privacy.build_eps_delta_mechanism(PROJ0, params)
+        holds, margin = app.fairness_certificate(mech, QUBIT_POVM, params, 0.4)
+        assert holds is True
+        assert margin == 0.0 and type(margin) is float
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_margin_is_attained_and_never_beaten(self, dim):
+        """The stated pair reaches bound - margin; no sampled pair within alpha exceeds it."""
+        rng = np.random.default_rng(20 + dim)
+        params, alpha = privacy.PrivacyParams(1.0), 0.3
+        for _ in range(5):
+            chan = qc.random_channel(dim, 3, 2, rng)
+            povm = random_povm(rng, 3, 3)
+            holds, margin = app.fairness_certificate(chan, povm, params, alpha)
+            distance = alpha * ct.trace_contraction_coefficient(params) - margin
+            assert holds == (margin >= -app.FAIRNESS_TOL)
+            best = None
+            for size in range(4):  # every outcome subset, dense
+                for subset in itertools.combinations(povm.effects, size):
+                    m = sum(subset, np.zeros((3, 3), dtype=complex))
+                    w, v = np.linalg.eigh(sum(k.conj().T @ m @ k for k in chan.kraus))
+                    if best is None or w[-1] - w[0] > best[0]:
+                        best = (w[-1] - w[0], v[:, -1], v[:, 0])
+            tau = np.eye(dim) / dim
+            rho, sigma = (alpha * np.outer(x, x.conj()) + (1 - alpha) * tau for x in best[1:])
+            assert dv.trace_distance(qc.DensityMatrix(rho), qc.DensityMatrix(sigma)) == (
+                pytest.approx(alpha, abs=1e-12)
+            )
+            reached = app.fairness_distance(chan, povm, rho, sigma)
+            assert reached == pytest.approx(distance, abs=1e-12)
+            for _ in range(50):
+                a, b = (qc.random_density_matrix(dim, seed=rng).entries for _ in range(2))
+                t = dv.trace_distance(qc.DensityMatrix(a), qc.DensityMatrix(b))
+                b = a + min(1.0, alpha / t) * (b - a)
+                assert app.fairness_distance(chan, povm, a, b) <= distance + 1e-12
+
+    def test_pairs_and_seed_are_unused(self):
+        params = privacy.PrivacyParams(1.0)
+        chan = qc.random_channel(2, 2, 2, seed=30)
+        plain = app.fairness_certificate(chan, QUBIT_POVM, params, 0.2)
+        assert app.fairness_certificate(chan, QUBIT_POVM, params, 0.2, pairs=7, seed=8) == plain
+
+
 class TestHolevoInformation:
     def test_zero_for_identical_states(self):
         rng = np.random.default_rng(7)
@@ -149,6 +200,21 @@ class TestHolevoInformation:
             ident = qc.KrausChannel((np.eye(dim),))
             value = app.holevo_information(ens, ident)
             assert 0.0 <= value <= math.log(dim) + 1e-9
+
+
+class TestVonNeumannEntropy:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_dense_spectrum(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        for _ in range(20):
+            rho = qc.random_density_matrix(dim, seed=rng)
+            w = np.clip(np.linalg.eigvalsh(rho.entries), app.ENTROPY_FLOOR, None)
+            dense = -np.sum(w * np.log(w))
+            assert app.von_neumann_entropy(rho) == pytest.approx(dense, abs=1e-13)
+
+    def test_maximally_mixed_and_pure_qubits(self):
+        assert app.von_neumann_entropy(np.eye(2) / 2) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert app.von_neumann_entropy(PROJ0) == pytest.approx(0.0, abs=1e-13)
 
 
 class TestHolevoStability:

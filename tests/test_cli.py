@@ -191,6 +191,27 @@ def run_cli(argv, capsys):
     return code, captured.out + captured.err
 
 
+class TestApplicationRows:
+    def test_rows_are_exact(self):
+        """Fairness margins read 0 under the rounding rule; each Holevo row is
+        ln 2 - h(p / 2), the value at the effect's extreme eigenvectors."""
+        rows = cli._applications_rows(cli.RunConfig())
+        fairness = [r for r in rows if r["check"] == "fairness"]
+        holevo = [r for r in rows if r["check"] == "holevo"]
+        assert len(fairness) == len(holevo) == 3
+        assert all(r["holds"] is True and r["value"] == 0.0 for r in fairness)
+        for row in holevo:
+            q = 1.0 / (math.exp(row["epsilon"]) + 1.0)  # p / 2
+            expected = math.log(2.0) + q * math.log(q) + (1.0 - q) * math.log(1.0 - q)
+            assert abs(row["value"] - expected) <= 1e-12
+            assert row["holds"] is True and type(row["value"]) is float
+
+    def test_rows_do_not_depend_on_seed_or_trials(self):
+        rows = cli._applications_rows(cli.RunConfig(seed=4, trials=50))
+        other = cli._applications_rows(cli.RunConfig(seed=9, trials=5000))
+        assert [{**r, "seed": 0} for r in rows] == [{**r, "seed": 0} for r in other]
+
+
 class TestHostileInput:
     def test_nan_state_exits_three_without_nan_output(self, tmp_path, state_files, capsys):
         entries = [[math.nan, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]

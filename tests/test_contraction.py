@@ -149,6 +149,67 @@ class TestSampleChunk:
         np.testing.assert_allclose(bk.trace_distance_batch(in1, in2), 1.0, rtol=0, atol=1e-14)
 
 
+class TestExtremeRatios:
+    """Each channel's closed-form trace and hockey-stick coefficient."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "eps, gamma", [(1.0, 1.0), (1.0, 1.49), (1.0, 2.23), (2.0, 3.32), (1.0, 0.6), (2.0, 0.3)]
+    )
+    def test_matches_dual_ascent(self, dim, eps, gamma):
+        """Equal to the ascent's worst pair at gamma >= 1; below 1, to the ascent at
+        1 / gamma, whose pair attains the closed form in the swapped order."""
+        params = privacy.PrivacyParams(eps)
+        data = ct._sample_chunk(np.random.default_rng(50 + dim), 1024, dim)
+        ratio, _ = ct._extreme_ratios(
+            data["images"], bk._eigvalsh(data["heis"]), privacy.mechanism_weight(params), [gamma]
+        )
+        ratio = ratio[0]
+        # the six random composites that contract least: the ascent has most to find there
+        picks = np.argsort(np.where(data["extremal"], -1.0, ratio))[-6:]
+        assert np.count_nonzero(ratio[picks] > 1e-3) >= 3
+        for i in picks:
+            channel, _, kind = ct._witness({k: v[i] for k, v in data.items()}, params)
+            assert kind == "random_composite"
+            value, first, second, _ = privacy._dual_ascent(
+                channel, privacy.SearchBudget(), 0, max(gamma, 1.0 / gamma)
+            )
+            assert ratio[i] == pytest.approx(max(value, 0.0), abs=1e-12)
+            if gamma < 1.0:
+                a, b = (qc.apply(channel, qc.DensityMatrix(np.outer(v, v.conj())))
+                        for v in (second, first))
+                swapped = dv.hockey_stick_extended(a, b, gamma) / gamma
+                assert swapped == pytest.approx(ratio[i], abs=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.25, 1.0, 2.0])
+    def test_no_sampled_ratio_exceeds_its_channel(self, eps):
+        """No sampled input pair of a chunk beats its own channel's closed form."""
+        p_mech = privacy.mechanism_weight(privacy.PrivacyParams(eps))
+        grid = [float(g) for g in np.geomspace(math.exp(-eps), math.exp(eps), 11)]
+        for dim in (2, 3, 4):
+            data = ct._sample_chunk(np.random.default_rng(60 + dim), 3072, dim)
+            closed, _ = ct._extreme_ratios(data["images"], bk._eigvalsh(data["heis"]), p_mech, grid)
+            out1, out2 = ct._outputs(data, p_mech)
+            for k, gamma in enumerate(grid):
+                num = bk.hockey_stick_ext_batch(out1, out2, gamma)
+                den = bk.hockey_stick_ext_batch(data["in1"], data["in2"], gamma)
+                valid = den >= qc.TOL_DENOM
+                sampled = num[valid] / den[valid]
+                assert np.max(sampled - closed[k][valid]) <= 1e-10, (eps, gamma, dim)
+
+    def test_extremal_members_attain_the_bound(self):
+        params = privacy.PrivacyParams(1.0)
+        grid = [float(g) for g in np.geomspace(math.exp(-1.0), math.exp(1.0), 11)]
+        data = ct._sample_chunk(np.random.default_rng(70), 200, 3)
+        closed, _ = ct._extreme_ratios(
+            data["images"], bk._eigvalsh(data["heis"]), privacy.mechanism_weight(params), grid
+        )
+        for k, gamma in enumerate(grid):
+            bound = ct.bound_hockey_stick(1.0, gamma)
+            np.testing.assert_allclose(closed[k][data["extremal"]], bound, rtol=0, atol=1e-13)
+            assert np.all(closed[k] <= bound + 1e-13)
+
+
 class TestScanRows:
     def test_each_row_equals_its_own_scan(self):
         """Rows scored on one shared ensemble equal their one-row scans bit for bit."""
@@ -185,6 +246,23 @@ class TestScan:
         a, b = report.witness_states
         ratio = dv.trace_distance(qc.apply(chan, a), qc.apply(chan, b)) / dv.trace_distance(a, b)
         assert ratio == pytest.approx(report.empirical_sup, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "divergence_id, gamma", [("trace", None), ("hockey", 0.6), ("hockey", 2.0)]
+    )
+    def test_closed_form_rows_score_every_channel(self, divergence_id, gamma):
+        """Every trial counts, and the witness inputs are orthogonal pure states
+        that attain the reported ratio."""
+        report = ct.scan(divergence_id, privacy.PrivacyParams(1.0), gamma, trials=900, seed=3)
+        assert report.valid_pairs == report.trials == 900
+        a, b = (s.entries for s in report.witness_states)
+        for x in (a, b):
+            assert np.real(np.trace(x @ x)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.trace(a @ b)) <= 1e-12
+        g = 1.0 if gamma is None else gamma
+        out_a, out_b = (qc.apply(report.witness_channel, s) for s in report.witness_states)
+        ratio = dv.hockey_stick_extended(out_a, out_b, g) / min(1.0, g)
+        assert ratio == pytest.approx(report.empirical_sup, abs=1e-12)
 
     def test_hockey_scan_zero_bound_at_endpoint(self):
         params = privacy.PrivacyParams(1.0, 0.0)
