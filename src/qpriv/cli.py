@@ -13,7 +13,6 @@ scan violation), 2 I/O or parse error, 3 validation error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import math
@@ -106,6 +105,8 @@ class RunConfig:
                 raise _ParseError(f"--tol expects KEY=NUMBER, got {item!r}") from None
         if cfg.trials < 1:
             raise ValidationError("trials must be >= 1")
+        if cfg.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if not math.isfinite(cfg.tol_scan):  # NaN would hide every violation
             raise ValidationError("tol_scan must be finite")
         return cfg
@@ -185,10 +186,12 @@ def _cmd_divergence(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.seed < 0:  # qubit outputs never draw from the seed, so check it here
+        raise ValidationError("seed must be >= 0")
     channel = _load(qc.load_channel, args.channel, "channel")
     params = privacy.PrivacyParams(args.epsilon, args.delta)
     budget = privacy.SearchBudget(restarts=args.budget)
-    result = privacy.certify(channel, params, budget, seed=args.seed or 0)
+    result = privacy.certify(channel, params, budget, seed=args.seed)
     print(
         json.dumps(
             {
@@ -370,27 +373,6 @@ _APPLICATION_COLUMNS = [
 ]
 
 
-def _worker_count() -> int:
-    """Pool size: ``QPRIV_THREADS`` clamped to [1, CPU count], else min(8, CPU count)."""
-    cpus = os.cpu_count() or 1
-    raw = os.environ.get("QPRIV_THREADS")
-    if not raw:
-        return min(8, cpus)
-    try:
-        return min(max(int(raw), 1), cpus)
-    except ValueError:
-        raise _ParseError(f"QPRIV_THREADS must be an integer, got {raw!r}") from None
-
-
-def _pooled_map(fn, tasks):
-    """Run tasks on a thread pool, preserving task order in the results."""
-    max_workers = _worker_count()
-    if max_workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def _sample_complexity_outside(row: dict) -> bool:
     exact = row["sc_exact"]
     return exact is not None and not (row["sc_lower"] - 1 < exact <= math.ceil(row["sc_upper"]))
@@ -409,7 +391,7 @@ def _cmd_reproduce(args) -> int:
     os.makedirs(cfg.output_path, exist_ok=True)
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
     any_violation = False
-    for suite, rows in zip(suites, _pooled_map(lambda s: _SUITES[s][0](cfg), suites)):
+    for suite, rows in zip(suites, [_SUITES[s][0](cfg) for s in suites]):
         _, columns, finding = _SUITES[suite]
         any_violation |= any(finding(r) for r in rows)
         path = os.path.join(cfg.output_path, f"{suite}.{cfg.format}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     InvalidGamma,
     InvalidNorm,
+    InvalidParams,
     InvalidProbability,
     InvalidRank,
     InvalidTrace,
@@ -59,6 +60,8 @@ def as_rng(seed) -> np.random.Generator:
     """Return ``seed`` itself if it is a Generator, else a fresh seeded one."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidParams(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(seed)
 
 
@@ -168,22 +171,18 @@ def _state_vector(state) -> np.ndarray:
     return v / norm
 
 
-def transfer_from_kraus(kraus) -> np.ndarray:
-    """Row-major transfer matrix sum_i K_i (x) conj(K_i)."""
-    t = sum(np.kron(k, k.conj()) for k in kraus)
-    return np.asarray(t, dtype=complex)
-
-
 @dataclass(frozen=True)
 class KrausChannel:
     """A CPTP map stored as a sequence of dim_out x dim_in Kraus operators.
 
-    Complete positivity is automatic in Kraus form; trace preservation
-    (sum_i K_i^dag K_i = I) is verified at construction within ``TOL_TP``.
+    The Kraus operators are the channel's only representation: no transfer
+    or Choi matrix is built, so memory stays O(k d^2) and every application
+    is sum_i K_i X K_i^dag. Complete positivity is automatic in Kraus form;
+    trace preservation (sum_i K_i^dag K_i = I) is verified at construction
+    within ``TOL_TP``.
     """
 
     kraus: tuple
-    _transfer: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
@@ -199,7 +198,6 @@ class KrausChannel:
         if float(np.max(np.abs(s - np.eye(dim_in)))) > TOL_TP:
             raise NotTracePreserving("Kraus set is not trace-preserving")
         object.__setattr__(self, "kraus", tuple(_frozen(k) for k in ops))
-        object.__setattr__(self, "_transfer", _frozen(transfer_from_kraus(ops)))
 
     @property
     def dim_in(self) -> int:
@@ -209,15 +207,10 @@ class KrausChannel:
     def dim_out(self) -> int:
         return self.kraus[0].shape[0]
 
-    @property
-    def transfer(self) -> np.ndarray:
-        """Row-major superoperator matrix of shape (dim_out^2, dim_in^2)."""
-        return self._transfer
-
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Apply the channel to a raw (not necessarily normalized) matrix."""
-        out = self._transfer @ np.asarray(mat, dtype=complex).reshape(-1)
-        return out.reshape(self.dim_out, self.dim_out)
+        """sum_i K_i X K_i^dag for a raw (not necessarily normalized) matrix X."""
+        k = np.asarray(self.kraus)
+        return np.sum(k @ np.asarray(mat, dtype=complex) @ k.conj().transpose(0, 2, 1), axis=0)
 
     def __call__(self, state: DensityMatrix) -> DensityMatrix:
         return apply(self, state)
@@ -227,22 +220,6 @@ class KrausChannel:
             f"KrausChannel(dim_in={self.dim_in}, dim_out={self.dim_out}, "
             f"kraus_count={len(self.kraus)})"
         )
-
-
-def kraus_from_transfer(transfer: np.ndarray, dim_out: int, dim_in: int) -> KrausChannel:
-    """Recover a Kraus representation from a row-major transfer matrix.
-
-    The Choi operator is a reshuffling of the transfer matrix; its spectral
-    decomposition yields one Kraus operator per nonzero eigenvalue.
-    """
-    t4 = np.asarray(transfer, dtype=complex).reshape(dim_out, dim_out, dim_in, dim_in)
-    choi = t4.transpose(0, 2, 1, 3).reshape(dim_out * dim_in, dim_out * dim_in)
-    w, v = np.linalg.eigh(hermitian_part(choi))
-    ops = []
-    for lam, vec in zip(w, v.T):
-        if lam > 1e-12:
-            ops.append(np.sqrt(lam) * vec.reshape(dim_out, dim_in))
-    return KrausChannel(tuple(ops))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ Before the dual-form ascent, ``privacy.certify`` and
 ``privacy.estimate_epsilon`` took this route for wider outputs. It is kept
 here, unchanged, as an independent lower bound: a multi-start coordinate
 pattern search over raw input frames, orthonormalized by QR and scored on
-the channel's transfer matrix. Call ``search_orthogonal_pairs(channel,
-objective_hockey(channel.transfer, gamma), budget, seed)`` or pass
-``objective_dmax(channel.transfer)``; it returns the best value, its frame
-and the frame-evaluation count.
+the channel's transfer matrix, which :func:`transfer_matrix` builds here
+from the Kraus operators. Call ``search_orthogonal_pairs(channel,
+objective_hockey(transfer_matrix(channel), gamma), budget, seed)`` or pass
+``objective_dmax(transfer_matrix(channel))``; it returns the best value, its
+frame and the frame-evaluation count.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ def _initial_raw(rng: np.random.Generator, restarts: int, dim: int) -> np.ndarra
 def _frames(raw: np.ndarray) -> np.ndarray:
     q, _ = np.linalg.qr(raw)
     return q
+
+
+def transfer_matrix(channel: KrausChannel) -> np.ndarray:
+    """Row-major superoperator sum_i K_i (x) conj(K_i), shape (dim_out^2, dim_in^2)."""
+    return sum(np.kron(k, k.conj()) for k in channel.kraus)
 
 
 def objective_hockey(transfer: np.ndarray, gamma: float):

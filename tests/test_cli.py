@@ -303,38 +303,33 @@ class TestHostileInput:
         assert code == 3 and text.startswith("error: ")
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("suite", ["all", "applications"])
+    def test_negative_seed_flag_exits_three(self, tmp_path, suite, capsys):
+        out = str(tmp_path / "t")
+        code, text = run_cli(["reproduce", suite, "--seed", "-1", "--out", out], capsys)
+        assert code == 3 and text.startswith("error: ") and "Traceback" not in text
+        assert not os.path.exists(out)
+
+    def test_negative_seed_in_config_exits_three(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {"seed": -4, "trials": 10})
+        out = str(tmp_path / "t")
+        code, text = run_cli(["reproduce", "all", "--config", cfg, "--out", out], capsys)
+        assert code == 3 and text.startswith("error: ") and "Traceback" not in text
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_certify_negative_seed_exits_three(self, tmp_path, dim, capsys):
+        """A qutrit output draws random starts from the seed; a qubit output never does."""
+        path = tmp_path / "dep.json"
+        qc.save_channel(qc.depolarizing_channel(dim, 0.9), path)
+        code, text = run_cli(["certify", str(path), "--epsilon", "1", "--seed", "-1"], capsys)
+        assert code == 3 and text.startswith("error: ") and "Traceback" not in text
+
     @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
     def test_non_finite_gamma_exits_three(self, state_files, gamma, capsys):
         code, text = run_cli(["divergence", "hockey", *state_files, f"--gamma={gamma}"], capsys)
         assert code == 3 and text.startswith("error: ")
         assert "nan" not in text.lower() and "inf" not in text
-
-
-class TestWorkerCount:
-    """Parse-only: none of these starts a thread pool."""
-
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("QPRIV_THREADS", raising=False)
-        assert cli._worker_count() == min(8, os.cpu_count() or 1)
-        monkeypatch.setenv("QPRIV_THREADS", "")
-        assert cli._worker_count() == min(8, os.cpu_count() or 1)
-
-    @pytest.mark.parametrize("raw", ["0", "-3", "1", "100000"])
-    def test_clamped_to_cpu_count(self, monkeypatch, raw):
-        monkeypatch.setenv("QPRIV_THREADS", raw)
-        assert cli._worker_count() == min(max(int(raw), 1), os.cpu_count() or 1)
-
-    @pytest.mark.parametrize("raw", ["abc", "2.5", "1e3"])
-    def test_non_integer_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("QPRIV_THREADS", raw)
-        with pytest.raises(cli._ParseError):
-            cli._worker_count()
-
-    def test_non_integer_exits_two_before_any_work(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("QPRIV_THREADS", "many")
-        out = str(tmp_path / "w")
-        code, text = run_cli(["reproduce", "contraction", "--out", out], capsys)
-        assert code == 2 and "QPRIV_THREADS" in text
 
 
 _WITHOUT_SCIPY = """

@@ -236,7 +236,7 @@ class TestBlochDual:
         gamma = math.exp(epsilon)
         result = privacy.certify(chan, privacy.PrivacyParams(epsilon), SMALL_BUDGET)
         searched, _, _ = fs.search_orthogonal_pairs(
-            chan, fs.objective_hockey(chan.transfer, gamma), SMALL_BUDGET, 0
+            chan, fs.objective_hockey(fs.transfer_matrix(chan), gamma), SMALL_BUDGET, 0
         )
         assert result.worst_value >= searched - 1e-12
         a, b = (qc.apply(chan, s.to_density_matrix()) for s in result.witness_pair)
@@ -245,7 +245,7 @@ class TestBlochDual:
     @pytest.mark.parametrize("name, chan", EVERY_OUTPUT, ids=[c[0] for c in EVERY_OUTPUT])
     def test_estimate_matches_or_beats_search(self, name, chan):
         searched, _, _ = fs.search_orthogonal_pairs(
-            chan, fs.objective_dmax(chan.transfer), SMALL_BUDGET, 0
+            chan, fs.objective_dmax(fs.transfer_matrix(chan)), SMALL_BUDGET, 0
         )
         assert privacy.estimate_epsilon(chan, SMALL_BUDGET) >= searched - 1e-12
 
@@ -264,7 +264,7 @@ class TestBlochDual:
         chan = QUBIT_OUTPUT[-1][1]
         params = privacy.PrivacyParams(1.0)
         searched, _, _ = fs.search_orthogonal_pairs(
-            chan, fs.objective_hockey(chan.transfer, math.e), privacy.SearchBudget(), 0
+            chan, fs.objective_hockey(fs.transfer_matrix(chan), math.e), privacy.SearchBudget(), 0
         )
         assert searched <= 0.0
         result = privacy.certify(chan, params)

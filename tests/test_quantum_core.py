@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import scipy.linalg as sla
 
 from qpriv import errors
 from qpriv import quantum_core as qc
+
+import _frame_search as fs
 
 
 def random_hermitian(rng, dim):
@@ -227,15 +230,6 @@ class TestChannels:
         with pytest.raises(errors.DimensionMismatch):
             qc.apply(qc.depolarizing_channel(2, 0.1), qc.random_density_matrix(3, seed=0))
 
-    def test_kraus_from_transfer_round_trip(self):
-        rng = np.random.default_rng(24)
-        chan = qc.random_channel(3, 2, 3, rng)
-        rebuilt = qc.kraus_from_transfer(chan.transfer, chan.dim_out, chan.dim_in)
-        rho = qc.random_density_matrix(3, seed=rng)
-        np.testing.assert_allclose(
-            qc.apply(rebuilt, rho).entries, qc.apply(chan, rho).entries, atol=1e-10
-        )
-
     def test_all_constructors_trace_preserving(self):
         rng = np.random.default_rng(8)
         channels = [
@@ -248,6 +242,41 @@ class TestChannels:
         for chan in channels:
             resolv = sum(k.conj().T @ k for k in chan.kraus)
             assert np.max(np.abs(resolv - np.eye(chan.dim_in))) < 1e-10
+
+
+# (dim_in, dim_out, k) with dim_in != dim_out and k in {1, 3, 2 dim_in dim_out};
+# k = 1 has no isometry when dim_out < dim_in.
+_KRAUS_APPLY_CASES = [
+    (2, 3, 1), (2, 3, 3), (2, 3, 12), (3, 5, 1), (3, 5, 3), (3, 5, 30), (4, 2, 3), (4, 2, 16)
+]
+
+
+class TestKrausApply:
+    """Kraus form is the only representation; its apply against a dense transfer oracle."""
+
+    @pytest.mark.parametrize("d_in, d_out, k", _KRAUS_APPLY_CASES)
+    def test_apply_matrix_matches_dense_transfer(self, d_in, d_out, k):
+        rng = np.random.default_rng(100 * d_in + 10 * d_out + k)
+        chan = qc.random_channel(d_in, d_out, k, rng)
+        transfer = fs.transfer_matrix(chan)
+        rho, sigma = (qc.random_density_matrix(d_in, seed=rng) for _ in range(2))
+        inputs = [
+            rho.entries - sigma.entries,  # Hermitian, not PSD, as fairness_distance passes
+            rng.normal(size=(d_in, d_in)) + 1j * rng.normal(size=(d_in, d_in)),
+        ]
+        for x in inputs:
+            dense = (transfer @ x.reshape(-1)).reshape(d_out, d_out)
+            np.testing.assert_allclose(chan.apply_matrix(x), dense, rtol=0.0, atol=1e-12)
+
+    def test_d64_channel_builds_without_a_transfer_matrix(self):
+        """A 4096 x 4096 complex transfer matrix alone would take 256 MB."""
+        tracemalloc.start()
+        try:
+            qc.random_channel(64, 64, 4, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestRandomEnsembles:
@@ -274,6 +303,13 @@ class TestRandomEnsembles:
     def test_invalid_rank(self):
         with pytest.raises(errors.InvalidRank):
             qc.random_density_matrix(2, rank=3, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-4)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(errors.InvalidParams):
+            qc.as_rng(seed)
+        with pytest.raises(errors.InvalidParams):
+            qc.random_channel(2, 2, 2, seed=seed)
 
     def test_random_orthogonal_pair(self):
         rng = np.random.default_rng(23)
