@@ -114,27 +114,64 @@ def bures_squared_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 2.0 * (1.0 - np.sqrt(fidelity_batch(x, y)))
 
 
-def _support(x: np.ndarray, y: np.ndarray):
-    """Support data shared by the entropies of stacked x relative to y.
-
-    Returns y's clipped spectrum and eigenbasis, the mask of eigenvalues above
-    the support cutoff, x's weight on each eigenvector of y, and the mask of
-    pairs where x has weight above ``TOL_SUPP`` outside supp(y).
+def _support_masks(w: np.ndarray, overlaps: np.ndarray):
+    """y's clipped spectrum w, the mask of its eigenvalues above the support
+    cutoff, x's clipped weight on each eigenvector of y, and the mask of pairs
+    where x has weight above ``TOL_SUPP`` outside supp(y).
     """
-    w, v = np.linalg.eigh(y)
     w = np.maximum(w, 0.0)
     on_support = w > TOL_SUPP * np.maximum(w[..., -1:], 1e-300)
-    overlaps = np.maximum(np.sum(v.conj() * (x @ v), axis=-2).real, 0.0)
+    overlaps = np.maximum(overlaps, 0.0)
     outside = np.sum(overlaps, axis=-1, where=~on_support)
-    return w, v, on_support, overlaps, outside > TOL_SUPP
+    return w, on_support, overlaps, outside > TOL_SUPP
+
+
+def _support(x: np.ndarray, y: np.ndarray):
+    """Support data shared by the entropies of stacked x relative to y:
+    :func:`_support_masks` of y's eigendecomposition, with y's eigenbasis second.
+    """
+    w, v = np.linalg.eigh(y)
+    w, on_support, overlaps, violated = _support_masks(w, np.sum(v.conj() * (x @ v), axis=-2).real)
+    return w, v, on_support, overlaps, violated
+
+
+def bloch_coordinates(m: np.ndarray):
+    """Trace t and Bloch vector r of stacked 2 x 2 Hermitians m = (t I + r . sigma) / 2."""
+    a, c, off = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1]
+    return a + c, np.stack((2.0 * off.real, -2.0 * off.imag, a - c), axis=-1)
+
+
+def _qubit_support(x: np.ndarray, y: np.ndarray):
+    """:func:`_support_masks` of stacked 2 x 2 pairs, in closed form.
+
+    y = (t I + v . sigma) / 2 has eigenvectors with Bloch vectors -v^ and +v^,
+    ascending, on which x = (t' I + u . sigma) / 2 weighs (t' -+ u . v^) / 2.
+    The spectrum comes from :func:`eigvals_2x2_herm`, not from (t -+ |v|) / 2,
+    whose difference loses the small eigenvalue of a near-pure y. At v = 0
+    the two eigenvalues, and so their logs, are equal, so any v^ gives the
+    same relative entropy.
+    """
+    tx, u = bloch_coordinates(x)
+    v = bloch_coordinates(y)[1]
+    norm = np.sqrt(np.sum(v * v, axis=-1))
+    along = np.sum(u * v, axis=-1) / np.where(norm > 0.0, norm, 1.0)
+    overlaps = 0.5 * (tx[..., None] + along[..., None] * np.array([-1.0, 1.0]))
+    return _support_masks(eigvals_2x2_herm(y), overlaps)
 
 
 def relative_entropy_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Relative entropy of stacked state pairs; inf on support violation."""
-    w, _, on_support, overlaps, violated = _support(x, y)
+    """Relative entropy of stacked state pairs; inf on support violation.
+
+    Qubit pairs take the closed form of :func:`_qubit_support` and
+    :func:`eigvals_2x2_herm`, under the same support rule as wider ones.
+    """
+    if x.shape[-1] == 2:
+        w, on_support, overlaps, violated = _qubit_support(x, y)
+    else:
+        w, _, on_support, overlaps, violated = _support(x, y)
     if violated.all():
         return np.full(violated.shape, np.inf)
-    mu = np.linalg.eigvalsh(x)
+    mu = _eigvalsh(x)
     ent = np.sum(mu * np.log(np.where(mu > _ENT_FLOOR, mu, 1.0)), axis=-1)
     cross = np.sum(overlaps * np.log(np.where(on_support, w, 1.0)), axis=-1)
     return np.where(violated, np.inf, ent - cross)

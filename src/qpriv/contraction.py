@@ -14,8 +14,8 @@ scores all of its contraction rows on one draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from functools import partial
+from dataclasses import dataclass, field, fields
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -50,6 +50,8 @@ class ContractionReport:
     rows score every channel at its own supremum, so there ``valid_pairs`` is
     ``trials`` and ``witness_states`` project onto the top and bottom
     eigenvectors of the witness readout's effect E, winning order first.
+    ``witness_channel`` is built from the best pair's sampled slices on first
+    access and then kept, so a report that is only tabulated builds none.
     """
 
     divergence_id: str
@@ -59,18 +61,22 @@ class ContractionReport:
     theory_bound: float
     empirical_sup: float
     witness_states: tuple[DensityMatrix, DensityMatrix]
-    witness_channel: KrausChannel
     witness_kind: str
     trials: int
     valid_pairs: int
     violation: bool
     relative_to: str
+    witness_source: tuple = field(repr=False, compare=False)  # _witness's (pair, params)
+
+    @cached_property
+    def witness_channel(self) -> KrausChannel:
+        return _witness(*self.witness_source)
 
     def to_dict(self, include_witness: bool = True) -> dict:
         from .quantum_core import channel_to_dict, state_to_dict
 
         data = {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("witness_states", "witness_channel")}
+                if f.name not in ("witness_states", "witness_source")}
         if include_witness:
             data["witness_states"] = [state_to_dict(s) for s in self.witness_states]
             data["witness_channel"] = channel_to_dict(self.witness_channel)
@@ -178,16 +184,22 @@ def _sample_chunk(rng: np.random.Generator, m: int, dim: int) -> dict:
     heis[extremal] = effects[extremal]
     images = np.einsum("nkai,nkbi->niab", post_kraus, post_kraus.conj())
     images[extremal] = np.eye(2)[:, :, None] * np.eye(2)[:, None, :]
+    image_traces, image_bloch = bk.bloch_coordinates(images)
 
-    return {"in1": in1, "in2": in2, "heis": heis, "images": images, "mixed": mixed,
+    return {"in1": in1, "in2": in2, "heis": heis, "images": images,
+            "image_traces": image_traces, "image_bloch": image_bloch, "mixed": mixed,
             "extremal": extremal, "effects": effects, "pre_kraus": pre_kraus,
             "post_kraus": post_kraus}
 
 
+def _weights(t, tr, p_mech: float):
+    """(a, b) with post(Dep_p(readout(rho))) = a P_0 + b P_1, for Tr[E rho] = t and Tr rho = tr."""
+    return (1.0 - p_mech) * t + 0.5 * p_mech * tr, (1.0 - p_mech) * (tr - t) + 0.5 * p_mech * tr
+
+
 def _readout(images: np.ndarray, t, tr, p_mech: float) -> np.ndarray:
     """post(Dep_p(readout(.))) of inputs with Tr[E rho] = t and Tr rho = tr, as a P_0 + b P_1."""
-    a = (1.0 - p_mech) * t + 0.5 * p_mech * tr
-    b = (1.0 - p_mech) * (tr - t) + 0.5 * p_mech * tr
+    a, b = _weights(t, tr, p_mech)
     return a[..., None, None] * images[:, 0] + b[..., None, None] * images[:, 1]
 
 
@@ -200,50 +212,66 @@ def _outputs(data: dict, p_mech: float) -> list[np.ndarray]:
     ]
 
 
-def _extreme_ratios(images: np.ndarray, spectrum: np.ndarray, p_mech: float, gammas):
+def _extreme_ratios(traces: np.ndarray, bloch: np.ndarray, spectrum: np.ndarray, p_mech: float,
+                    gammas):
     """Each channel's exact hockey-stick contraction coefficient at every gamma (trace: gamma = 1).
 
     The outputs depend on rho only through t = Tr[E rho], so the supremum is
     attained on E's top and bottom eigenvectors, in one order or the other
     (Hirche, Rouze and Franca, arXiv 2202.10717; at gamma < 1 through
     E~_gamma(x||y) = gamma E_1/gamma(y||x)), whose input E~_gamma is
-    min(1, gamma). Returns the ratios, shape (len(gammas), m), with
-    numerators up to :func:`_hockey_floor` read as 0, and where
-    top-then-bottom wins.
+    min(1, gamma). Every output is a P_0 + b P_1, so top - gamma bottom is
+    alpha P_0 + beta P_1; with P_i given by its trace t_i and Bloch vector r_i
+    (``traces`` and ``bloch``), its positive eigensum is (s + max(n, |s|)) / 2,
+    s = alpha t_0 + beta t_1 and n = |alpha r_0 + beta r_1|. Returns the
+    ratios, shape (len(gammas), m), with numerators up to :func:`_hockey_floor`
+    read as 0, and where top-then-bottom wins.
     """
     g = np.asarray(gammas)[:, None]
-    top, bottom = (_readout(images, spectrum[:, k], 1.0, p_mech) for k in (-1, 0))
-    forward = bk.positive_eigensum(top - g[..., None, None] * bottom)
-    backward = bk.positive_eigensum(bottom - g[..., None, None] * top)
+    (a_top, b_top), (a_bot, b_bot) = (_weights(spectrum[:, k], 1.0, p_mech) for k in (-1, 0))
+    # top - gamma bottom, then bottom - gamma top, on one leading axis
+    alpha = np.stack((a_top - g * a_bot, a_bot - g * a_top))
+    beta = np.stack((b_top - g * b_bot, b_bot - g * b_top))
+    s = alpha * traces[:, 0] + beta * traces[:, 1]
+    n2 = sum((alpha * bloch[:, 0, c] + beta * bloch[:, 1, c]) ** 2 for c in range(3))
+    forward, backward = 0.5 * (s + np.maximum(np.sqrt(n2), np.abs(s)))
     num = np.maximum(forward, backward) - np.maximum(0.0, 1.0 - g)
     num[num <= _hockey_floor(g)] = 0.0
     return num / np.minimum(1.0, g), forward >= backward
 
 
-def _witness(pair: dict, params: PrivacyParams):
-    channel, kind = build_eps_delta_mechanism(pair["effects"], params), "extremal_mechanism"
-    if not pair["extremal"]:
-        pre, post = (KrausChannel(tuple(pair[name])) for name in ("pre_kraus", "post_kraus"))
-        channel, kind = compose(post, compose(channel, pre)), "random_composite"
+def _witness(pair: dict, params: PrivacyParams) -> KrausChannel:
+    """The sampled channel of a chunk's slice ``pair``, as Kraus operators."""
+    channel = build_eps_delta_mechanism(pair["effects"], params)
+    if pair["extremal"]:
+        return channel
+    pre, post = (KrausChannel(tuple(pair[name])) for name in ("pre_kraus", "post_kraus"))
+    return compose(post, compose(channel, pre))
+
+
+def _witness_states(pair: dict) -> tuple[DensityMatrix, DensityMatrix]:
     inputs = (pair["in1"], pair["in2"])
     if "forward" in pair:  # a closed-form row: E's top and bottom eigenvectors, winner first
         top_bottom = bk.projectors_from_vectors(np.linalg.eigh(pair["heis"])[1][:, [-1, 0]].T)
         inputs = top_bottom if pair["forward"] else top_bottom[::-1]
-    return channel, tuple(DensityMatrix(x) for x in inputs), kind
+    return tuple(DensityMatrix(x) for x in inputs)
 
 
 def _hockey_floor(gamma: float) -> float:
     """Rounding bound 128u (1 + gamma), u = 2^-53, of a closed-form hockey-stick numerator.
 
-    Forming and reducing the qubit outputs leaves at most 8u (3 + gamma);
-    the computed lambda_max and lambda_min of E (0 <= E <= I) add 1 + gamma
-    times their error, which grew with d to 32u at d = 8, the widest scan
-    input. At gamma = e^+-eps every true numerator is 0; in 2^16 channels
-    per d (d = 2, 3, 4, 5, 8) the largest computed one was 32u (1 + gamma)
-    (d = 8, eps >= 8). A numerator at or below the bound reads 0. A floored
-    ratio is at most 128u (1 + gamma) / min(1, gamma) <= 128u (1 + e^eps),
-    since min(1, gamma) >= e^-eps; that is under TOL_SCAN up to eps = 17, so
-    there a floored channel cannot hide a violation.
+    On unit-trace inputs |alpha| + |beta| <= 1 + gamma, so forming alpha and
+    beta, s and n, and the Bloch-form eigensum leaves at most about
+    12u (1 + gamma) to first order; the computed lambda_max and lambda_min
+    of E (0 <= E <= I) add 1 + gamma times their error, which grew with d to
+    32u at d = 8, the widest scan input. At gamma = e^+-eps every true
+    numerator is 0; in 2^16 channels per d (d = 2, 3, 4, 5, 8; eps from 0.1
+    to 16) the largest computed one was 28.3u (1 + gamma) (d = 3, eps = 16),
+    where a dense 2 x 2 eigensum of the same outputs read 28.0u (1 + gamma).
+    A numerator at or below the bound reads 0. A floored ratio is at most
+    128u (1 + gamma) / min(1, gamma) <= 128u (1 + e^eps), since
+    min(1, gamma) >= e^-eps; that is under TOL_SCAN up to eps = 17, so there
+    a floored channel cannot hide a violation.
     """
     return 2.0**-46 * (1.0 + gamma)
 
@@ -297,7 +325,7 @@ def _scan_rows(rows, dims, trials: int, seed, f, tol_scan: float) -> list[Contra
     other rows score the sampled pairs, with outputs formed once per weight
     and input references once per kind. Each row keeps its own best channel,
     so a row's report is the one a one-row call on the same dims, trials and
-    seed returns. Each witness channel is built once, at the end.
+    seed returns. Witness channels are built only on access (ContractionReport).
     """
     theories = [_theory(divergence_id, params, gamma, f) for divergence_id, params, gamma in rows]
     weights = [mechanism_weight(params) for _, params, _ in rows]
@@ -321,7 +349,8 @@ def _scan_rows(rows, dims, trials: int, seed, f, tol_scan: float) -> list[Contra
             spectrum = bk._eigvalsh(data["heis"]) if exact else None
             for p, members in exact.items():
                 grid = [gammas[r] for r in members]
-                scored += zip(members, *_extreme_ratios(data["images"], spectrum, p, grid))
+                scored += zip(members, *_extreme_ratios(data["image_traces"], data["image_bloch"],
+                                                         spectrum, p, grid))
             outs = {p: _outputs(data, p) for p in {weights[r] for r in sampled}}
             inputs = {}
             for r, (num_of, key) in sampled.items():
@@ -345,12 +374,13 @@ def _scan_rows(rows, dims, trials: int, seed, f, tol_scan: float) -> list[Contra
     ):
         if n_valid == 0:
             raise NoValidPairs(f"every sampled pair had a degenerate denominator (gamma={gamma})")
-        channel, states, kind = _witness(pair, params)
         reports.append(ContractionReport(
             divergence_id=divergence_id, epsilon=params.epsilon, delta=params.delta,
-            gamma=gamma, theory_bound=bound, empirical_sup=sup, witness_states=states,
-            witness_channel=channel, witness_kind=kind, trials=trials, valid_pairs=n_valid,
-            violation=sup > bound + tol_scan, relative_to=relative_to,
+            gamma=gamma, theory_bound=bound, empirical_sup=sup,
+            witness_states=_witness_states(pair),
+            witness_kind="extremal_mechanism" if pair["extremal"] else "random_composite",
+            trials=trials, valid_pairs=n_valid, violation=sup > bound + tol_scan,
+            relative_to=relative_to, witness_source=(pair, params),
         ))
     return reports
 

@@ -15,6 +15,7 @@ from scipy import linalg as sla
 from qpriv import _batched as bk
 from qpriv import divergences as dv
 from qpriv import errors
+from qpriv.quantum_core import TOL_SUPP
 
 DIMS = (2, 3, 4)
 GAMMAS = (math.exp(-1.0), 1.0, math.e)
@@ -173,6 +174,87 @@ def test_entropies_all_outside_support(batch):
     x = bk.ginibre_states(rng, 5, 3)
     y = bk.projectors_from_vectors(bk.orthonormal_pairs(rng, 5, 3)[:, :, 0])
     assert np.all(np.isinf(batch(x, y)))
+
+
+def qubit_entropy_pairs(seed: int, n: int = 40):
+    """Qubit pairs (x, sigma) at the edges of the closed form.
+
+    sigma's small eigenvalue runs from 2e-9 to 1e-2 (from 2e-9, clear of the
+    TOL_SUPP cutoff at 1e-9, where either route's ~u absolute error in that
+    eigenvalue decides the support), in a random basis against mixed x, pure
+    x, sigma's own top eigenvector and a mixture near sigma, and in the
+    computational basis, as mechanism outputs are, against mixed x; then
+    sigma = I/2, full-rank sigma, and rank-1 sigma against mixed x, pure x
+    and sigma itself.
+    """
+    rng = np.random.default_rng(seed)
+    frame = bk.orthonormal_pairs(rng, n, 2)
+    small = np.geomspace(2e-9, 1e-2, n)
+    near_pure = np.einsum("nik,nk,njk->nij", frame, np.stack([small, 1.0 - small], -1),
+                          frame.conj())
+    diagonal = np.zeros((n, 2, 2), dtype=complex)
+    diagonal[:, 0, 0], diagonal[:, 1, 1] = 1.0 - small, small
+    half = np.broadcast_to(np.eye(2) / 2.0, (n, 2, 2)).astype(complex)
+    mixed = bk.ginibre_states(rng, n, 2)
+    pure = bk.projectors_from_vectors(bk.orthonormal_pairs(rng, n, 2)[:, :, 0])
+    rank_one = bk.projectors_from_vectors(bk.orthonormal_pairs(rng, n, 2)[:, :, 0])
+    pairs = [
+        (bk.ginibre_states(rng, n, 2), near_pure), (pure, near_pure),
+        (bk.projectors_from_vectors(frame[:, :, 1]), near_pure),
+        (0.5 * (near_pure + bk.ginibre_states(rng, n, 2)), near_pure),
+        (bk.ginibre_states(rng, n, 2), diagonal),
+        (bk.ginibre_states(rng, n, 2), half), (pure, half),
+        (bk.ginibre_states(rng, n, 2), mixed), (pure, mixed),
+        (bk.ginibre_states(rng, n, 2), rank_one), (pure, rank_one), (rank_one, rank_one),
+    ]
+    return tuple(np.concatenate(side) for side in zip(*pairs))
+
+
+def test_qubit_relative_entropy_matches_the_general_route():
+    """The qubit closed form against the eigh route of _support, which qubits
+    padded to 3 x 3 take: the same infinities, values within the eigh route's
+    own error on near-pure sigma in a random basis (about u / lambda_min; see
+    the mpmath test), and to rounding on diagonal sigma, whose spectrum both
+    routes read exactly."""
+    x, y = qubit_entropy_pairs(90)
+    got = bk.relative_entropy_batch(x, y)
+    want = bk.relative_entropy_batch(embedded(x, 3), embedded(y, 3))
+    np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+    assert np.count_nonzero(np.isinf(got)) == 80  # every rank-1 sigma but sigma itself
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-7, atol=1e-13)
+    diagonal = y[:, 0, 1] == 0.0
+    np.testing.assert_allclose(got[diagonal], want[diagonal], rtol=1e-14, atol=0)
+
+
+def test_qubit_relative_entropy_against_50_digit_reference():
+    """Closed form and eigh route against mpmath's 50-digit eigensolver on the
+    finite pairs: the closed form's errors are the smaller ones."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def reference(a, b):
+        """D(a || b) from both eigendecompositions, on b's eigenvalues above the support cutoff."""
+        xm, ym = (mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in m])
+                  for m in (a, b))
+        mu = mpmath.eighe(xm, eigvals_only=True)
+        w, v = mpmath.eighe(ym)
+        ent = sum(m * mpmath.log(m) for m in mu if m > 0)
+        cross = sum((v[:, j].H * xm * v[:, j])[0].real * mpmath.log(w[j])
+                    for j in range(2) if w[j] > TOL_SUPP * w[1])
+        return float(ent - cross)
+
+    x, y = qubit_entropy_pairs(91)
+    closed = bk.relative_entropy_batch(x, y)
+    eigh_route = bk.relative_entropy_batch(embedded(x, 3), embedded(y, 3))
+    finite = np.isfinite(closed)
+    with mpmath.workdps(50):
+        want = np.array([reference(a, b) for a, b in zip(x[finite], y[finite])])
+    err_closed, err_eigh = (np.abs(got[finite] - want) for got in (closed, eigh_route))
+    large = np.abs(want) >= 1e-6  # below that a value is a few u from 0: compare absolutely
+    rel_closed, rel_eigh = (err[large] / np.abs(want[large]) for err in (err_closed, err_eigh))
+    assert np.max(rel_closed) <= min(np.max(rel_eigh), 1e-8)
+    assert np.median(rel_closed) <= np.median(rel_eigh)
+    assert np.max(err_closed[~large]) <= 1e-14
 
 
 @pytest.mark.parametrize("dim", DIMS)

@@ -121,6 +121,14 @@ class TestReproduceCommand:
             b for b in raw if float(b["theory_bound"]) != 0.0
         ]
 
+    def test_contraction_builds_no_witness_channel(self, tmp_path, monkeypatch):
+        """The table holds no witness channel, so no row builds one."""
+        built = []
+        monkeypatch.setattr(contraction, "_witness", lambda *args: built.append(args))
+        args = ["reproduce", "contraction", "--seed", "3", "--trials", "300"]
+        assert cli.main([*args, "--out", str(tmp_path / "r")]) == 0
+        assert built == []
+
     def test_reproduce_all_emits_every_table(self, tmp_path):
         out = tmp_path / "all"
         code = cli.main(
@@ -352,7 +360,7 @@ print(json.dumps({"code": code, "kl": kl, "exact": result.exact,
 def _env_with_src() -> dict:
     """The environment of a child interpreter that imports this checkout's qpriv."""
     src = str(Path(qpriv.__file__).resolve().parents[1])
-    return {**os.environ, "QPRIV_THREADS": "1",
+    return {**os.environ,
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 

@@ -129,8 +129,7 @@ class TestSampleChunk:
         assert np.any(data["extremal"])
         for i in range(60):
             pair = {key: value[i] for key, value in data.items()}
-            channel, states, kind = ct._witness(pair, params)
-            assert kind == ("extremal_mechanism" if pair["extremal"] else "random_composite")
+            channel, states = ct._witness(pair, params), ct._witness_states(pair)
             for state, out in zip(states, (pair["out1"], pair["out2"])):
                 np.testing.assert_allclose(
                     out, qc.apply(channel, state).entries, rtol=0, atol=1e-12
@@ -149,8 +148,43 @@ class TestSampleChunk:
         np.testing.assert_allclose(bk.trace_distance_batch(in1, in2), 1.0, rtol=0, atol=1e-14)
 
 
+def dense_extreme_ratios(data, spectrum, p_mech, gammas):
+    """_extreme_ratios from explicit 2 x 2 outputs and their eigensums: the floored
+    numerators, and the eigensums of top - gamma bottom and of bottom - gamma top."""
+    g = np.asarray(gammas)[:, None]
+    top, bottom = (ct._readout(data["images"], spectrum[:, k], 1.0, p_mech) for k in (-1, 0))
+    forward = bk.positive_eigensum(top - g[..., None, None] * bottom)
+    backward = bk.positive_eigensum(bottom - g[..., None, None] * top)
+    num = np.maximum(forward, backward) - np.maximum(0.0, 1.0 - g)
+    num[num <= ct._hockey_floor(g)] = 0.0
+    return num, forward, backward
+
+
 class TestExtremeRatios:
     """Each channel's closed-form trace and hockey-stick coefficient."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    @pytest.mark.parametrize("eps", [0.25, 1.0, 2.0, 8.0])
+    def test_bloch_form_matches_dense_eigensum(self, dim, eps):
+        """The Bloch-form eigensum agrees with explicit outputs within the rounding
+        floor, floors the same numerators to 0, and floors all of them at e^+-eps. The
+        winning order agrees wherever the two eigensums differ beyond the floor, and
+        is top first where both are exactly 0."""
+        p_mech = privacy.mechanism_weight(privacy.PrivacyParams(eps))
+        grid = np.geomspace(math.exp(-eps), math.exp(eps), 11)
+        data = ct._sample_chunk(np.random.default_rng(80 + dim), 2048, dim)
+        spectrum = bk._eigvalsh(data["heis"])
+        ratio, top_first = ct._extreme_ratios(data["image_traces"], data["image_bloch"],
+                                              spectrum, p_mech, grid)
+        num = ratio * np.minimum(1.0, grid)[:, None]
+        dense, forward, backward = dense_extreme_ratios(data, spectrum, p_mech, grid)
+        floor = ct._hockey_floor(grid)[:, None]
+        assert np.all(np.abs(num - dense) <= floor)
+        np.testing.assert_array_equal(num == 0.0, dense == 0.0)
+        apart = np.abs(forward - backward) > floor
+        np.testing.assert_array_equal(top_first[apart], (forward > backward)[apart])
+        assert np.all(top_first[(forward == 0.0) & (backward == 0.0)])
+        assert not num[[0, -1]].any()
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize(
@@ -161,16 +195,16 @@ class TestExtremeRatios:
         1 / gamma, whose pair attains the closed form in the swapped order."""
         params = privacy.PrivacyParams(eps)
         data = ct._sample_chunk(np.random.default_rng(50 + dim), 1024, dim)
-        ratio, _ = ct._extreme_ratios(
-            data["images"], bk._eigvalsh(data["heis"]), privacy.mechanism_weight(params), [gamma]
-        )
+        ratio, _ = ct._extreme_ratios(data["image_traces"], data["image_bloch"],
+                                      bk._eigvalsh(data["heis"]), privacy.mechanism_weight(params),
+                                      [gamma])
         ratio = ratio[0]
         # the six random composites that contract least: the ascent has most to find there
         picks = np.argsort(np.where(data["extremal"], -1.0, ratio))[-6:]
         assert np.count_nonzero(ratio[picks] > 1e-3) >= 3
         for i in picks:
-            channel, _, kind = ct._witness({k: v[i] for k, v in data.items()}, params)
-            assert kind == "random_composite"
+            assert not data["extremal"][i]
+            channel = ct._witness({k: v[i] for k, v in data.items()}, params)
             value, first, second, _ = privacy._dual_ascent(
                 channel, privacy.SearchBudget(), 0, max(gamma, 1.0 / gamma)
             )
@@ -188,7 +222,8 @@ class TestExtremeRatios:
         grid = [float(g) for g in np.geomspace(math.exp(-eps), math.exp(eps), 11)]
         for dim in (2, 3, 4):
             data = ct._sample_chunk(np.random.default_rng(60 + dim), 3072, dim)
-            closed, _ = ct._extreme_ratios(data["images"], bk._eigvalsh(data["heis"]), p_mech, grid)
+            closed, _ = ct._extreme_ratios(data["image_traces"], data["image_bloch"],
+                                           bk._eigvalsh(data["heis"]), p_mech, grid)
             out1, out2 = ct._outputs(data, p_mech)
             for k, gamma in enumerate(grid):
                 num = bk.hockey_stick_ext_batch(out1, out2, gamma)
@@ -201,9 +236,9 @@ class TestExtremeRatios:
         params = privacy.PrivacyParams(1.0)
         grid = [float(g) for g in np.geomspace(math.exp(-1.0), math.exp(1.0), 11)]
         data = ct._sample_chunk(np.random.default_rng(70), 200, 3)
-        closed, _ = ct._extreme_ratios(
-            data["images"], bk._eigvalsh(data["heis"]), privacy.mechanism_weight(params), grid
-        )
+        closed, _ = ct._extreme_ratios(data["image_traces"], data["image_bloch"],
+                                       bk._eigvalsh(data["heis"]), privacy.mechanism_weight(params),
+                                       grid)
         for k, gamma in enumerate(grid):
             bound = ct.bound_hockey_stick(1.0, gamma)
             np.testing.assert_allclose(closed[k][data["extremal"]], bound, rtol=0, atol=1e-13)
@@ -380,6 +415,7 @@ class TestScanHockeyGrid:
             assert witness_ratio(rep) == pytest.approx(rep.empirical_sup, abs=1e-9)
 
     def test_one_witness_built_per_report(self, monkeypatch):
+        """A scan builds no witness channel; a report builds one, on its first access."""
         built = []
         witness = ct._witness
 
@@ -390,10 +426,18 @@ class TestScanHockeyGrid:
         monkeypatch.setattr(ct, "_witness", counting)
         params = privacy.PrivacyParams(1.0, 0.0)
         grid = np.geomspace(math.exp(-1.0), math.exp(1.0), 11)
-        ct.scan_hockey_grid(params, grid, trials=3000, seed=25)
-        assert len(built) == 11
-        ct.scan("trace", params, trials=3000, seed=26)
-        assert len(built) == 12
+        reports = ct.scan_hockey_grid(params, grid, trials=3000, seed=25)
+        reports.append(ct.scan("trace", params, trials=3000, seed=26))
+        assert built == []
+        for report in reports:
+            report.to_dict(include_witness=False)
+        assert built == []
+        for k, report in enumerate(reports, start=1):
+            first = report.witness_channel
+            assert len(built) == k
+            assert report.witness_channel is first
+            report.to_dict()
+            assert len(built) == k
 
     def test_grid_attains_and_never_violates(self):
         eps = 1.0
