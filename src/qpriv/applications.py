@@ -69,10 +69,7 @@ def fairness_distance(channel: KrausChannel, povm: Povm, rho, sigma) -> float:
     if rho_m.shape != sigma_m.shape or rho_m.shape[0] != channel.dim_in:
         raise DimensionMismatch("states must match the channel input dimension")
     delta = channel.apply_matrix(rho_m - sigma_m)
-    total = 0.0
-    for effect in povm.effects:
-        total += abs(float(np.real(np.trace(effect @ delta))))
-    return 0.5 * total
+    return 0.5 * float(np.sum(np.abs(np.einsum("nij,ji->n", povm.effects, delta).real)))
 
 
 def fairness_certificate(
@@ -80,8 +77,6 @@ def fairness_certificate(
     povm: Povm,
     params: PrivacyParams,
     alpha_bound: float,
-    pairs=None,
-    seed=None,
 ) -> tuple[bool, float]:
     """Exact check that inputs within trace distance alpha give similar readouts.
 
@@ -91,19 +86,19 @@ def fairness_certificate(
     outcome subsets S without the last outcome (a complement has the same
     spread), attained by rho = alpha psi + (1 - alpha) tau and sigma =
     alpha phi + (1 - alpha) tau (psi, phi extreme eigenvectors, tau any
-    state). ``pairs`` and ``seed`` are accepted and unused. Rounding rule:
-    each term carries a few d u alpha of rounding (u = 2^-53, d the input
-    dimension; eigenvalues of 0 <= A^dag(M_S) <= I have a backward error of
-    a few d u), so a margin within 8 d u alpha of 0 reads 0: rounding alone
-    never turns a tight mechanism's exact margin of 0 negative.
+    state). Rounding rule: each term carries a few d u alpha of rounding
+    (u = 2^-53, d the input dimension; eigenvalues of 0 <= A^dag(M_S) <= I
+    have a backward error of a few d u), so a margin within 8 d u alpha of 0
+    reads 0: rounding alone never turns a tight mechanism's exact margin of
+    0 negative.
     """
     if not 0.0 < alpha_bound <= 1.0:
         raise InvalidParams(f"alpha_bound must be in (0, 1], got {alpha_bound}")
     if povm.dim != channel.dim_out:
         raise DimensionMismatch(f"POVM dim {povm.dim} != channel output dim {channel.dim_out}")
-    effects, kraus, n = np.stack(povm.effects), np.stack(channel.kraus), len(povm.effects)
+    kraus, n = channel.kraus, len(povm.effects)
     subsets = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1)) & 1
-    tests = np.tensordot(subsets, effects[:-1], 1)  # sum_{i in S} M_i
+    tests = np.tensordot(subsets, povm.effects[:-1], 1)  # sum_{i in S} M_i
     w = bk._eigvalsh(np.einsum("kai,sab,kbj->sij", kraus.conj(), tests, kraus))
     spread = float(np.max(w[:, -1] - w[:, 0]))
     margin = alpha_bound * (trace_contraction_coefficient(params) - spread)

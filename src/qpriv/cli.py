@@ -18,10 +18,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import _batched as bk
 from . import applications, contraction, divergences, hypothesis, privacy
 from . import quantum_core as qc
 from .errors import ComputationError, ValidationError
@@ -54,10 +55,10 @@ def _config_int(raw: dict, key: str, default: int) -> int:
     return value
 
 
-def _set_tolerance(tolerances: dict, key: str, value) -> None:
+def _set_tolerance(cfg: RunConfig, key: str, value) -> None:
     if key != "tol_scan":  # the only tolerance that reproduce reads
         raise _ParseError(f"unknown tolerance {key!r}; the only one is 'tol_scan'")
-    tolerances[key] = float(value)
+    cfg.tol_scan = float(value)
 
 
 @dataclass
@@ -66,7 +67,7 @@ class RunConfig:
 
     seed: int = 0
     trials: int = 2000
-    tolerances: dict = field(default_factory=dict)
+    tol_scan: float = contraction.TOL_SCAN
     output_path: str = "."
     format: str = "csv"
 
@@ -80,7 +81,7 @@ class RunConfig:
                     cfg.seed = _config_int(raw, "seed", cfg.seed)
                     cfg.trials = _config_int(raw, "trials", cfg.trials)
                     for key, value in dict(raw.get("tolerances", {})).items():
-                        _set_tolerance(cfg.tolerances, key, value)
+                        _set_tolerance(cfg, key, value)
                 except (ValueError, TypeError, AttributeError, OverflowError) as exc:
                     raise _ParseError(f"cannot parse config file: {exc}") from None
             cfg.output_path = raw.get("output_path", cfg.output_path)
@@ -100,7 +101,7 @@ class RunConfig:
         for item in args.tol or ():
             try:
                 key, value = item.split("=", 1)
-                _set_tolerance(cfg.tolerances, key, value)
+                _set_tolerance(cfg, key, value)
             except ValueError:
                 raise _ParseError(f"--tol expects KEY=NUMBER, got {item!r}") from None
         if cfg.trials < 1:
@@ -110,10 +111,6 @@ class RunConfig:
         if not math.isfinite(cfg.tol_scan):  # NaN would hide every violation
             raise ValidationError("tol_scan must be finite")
         return cfg
-
-    @property
-    def tol_scan(self) -> float:
-        return float(self.tolerances.get("tol_scan", contraction.TOL_SCAN))
 
 
 def _fmt(value) -> str:
@@ -164,7 +161,7 @@ def _load(loader, path: str, what: str):
         return loader(path)
     except ValidationError:
         raise
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise _ParseError(f"cannot parse {what} file: {exc}") from None
 
 
@@ -276,8 +273,7 @@ def _sample_complexity_rows(cfg: RunConfig) -> list[dict]:
         if t < 0.5:
             continue
         inst = hypothesis.HypothesisInstance(rho, sigma, p, alpha)
-        ww, vv = np.linalg.eigh(rho.entries - sigma.entries)
-        m_opt = (vv * (ww > 0)) @ vv.conj().T
+        m_opt = bk.positive_eigenspace_projectors((rho.entries - sigma.entries)[None])[0]
         mech = privacy.build_qldp_mechanism(m_opt, eps)
         out = hypothesis.HypothesisInstance(
             qc.apply(mech, rho), qc.apply(mech, sigma), p, alpha

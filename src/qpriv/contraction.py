@@ -245,7 +245,7 @@ def _witness(pair: dict, params: PrivacyParams) -> KrausChannel:
     channel = build_eps_delta_mechanism(pair["effects"], params)
     if pair["extremal"]:
         return channel
-    pre, post = (KrausChannel(tuple(pair[name])) for name in ("pre_kraus", "post_kraus"))
+    pre, post = (KrausChannel(pair[name]) for name in ("pre_kraus", "post_kraus"))
     return compose(post, compose(channel, pre))
 
 

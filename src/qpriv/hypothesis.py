@@ -568,11 +568,7 @@ def low_privacy_analysis(inst: HypothesisInstance, epsilon: float) -> LowPrivacy
             groups[-1].append(i)
         else:
             groups.append([i])
-    effects = []
-    for group in groups:
-        block = v_g[:, group]
-        effects.append(block @ block.conj().T)
-    povm = Povm(tuple(effects))
+    povm = Povm([v_g[:, group] @ v_g[:, group].conj().T for group in groups])
 
     p_out = povm.outcome_probabilities(rho_m)
     q_out = povm.outcome_probabilities(sigma_m)

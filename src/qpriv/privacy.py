@@ -192,9 +192,8 @@ def _dual_ascent(channel: KrausChannel, budget: SearchBudget, seed, gamma: float
     the best pair, and the count of A^dag(M) spectra computed; with ``gamma``
     the value is that pair's own E_gamma, also when its start hit the cap.
     """
-    kraus = np.stack(channel.kraus)
-    count, d_out, d_in = kraus.shape
-    flat = kraus.reshape(count, d_out * d_in)
+    count, d_out, d_in = channel.kraus.shape
+    flat = channel.kraus.reshape(count, d_out * d_in)
     # (flat^dag flat)[(a, i), (b, j)] = A^dag(|a><b|)[i, j], so row (a, b) of
     # dual holds that matrix unit's image: vec(A^dag(M)) = vec(M) @ dual.
     dual = (flat.conj().T @ flat).reshape(d_out, d_in, d_out, d_in)

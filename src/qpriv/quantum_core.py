@@ -93,6 +93,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _stack(ops, empty_error: str, shape_error: str) -> np.ndarray:
+    """``ops``, a sequence or array of equal-shape non-empty matrices, as one 3-d stack."""
+    try:
+        ops = np.asarray(ops, dtype=complex)
+    except ValueError:  # ragged
+        raise DimensionMismatch(shape_error) from None
+    if ops.shape[:1] == (0,):
+        raise NotTracePreserving(empty_error)
+    if ops.ndim != 3 or 0 in ops.shape:
+        raise DimensionMismatch(shape_error)
+    return ops
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A d x d Hermitian, positive semi-definite, unit-trace operator.
@@ -173,43 +186,42 @@ def _state_vector(state) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A CPTP map stored as a sequence of dim_out x dim_in Kraus operators.
+    """A CPTP map stored as one read-only (k, dim_out, dim_in) Kraus stack.
 
-    The Kraus operators are the channel's only representation: no transfer
-    or Choi matrix is built, so memory stays O(k d^2) and every application
-    is sum_i K_i X K_i^dag. Complete positivity is automatic in Kraus form;
-    trace preservation (sum_i K_i^dag K_i = I) is verified at construction
-    within ``TOL_TP``.
+    The Kraus stack is the channel's only representation: no transfer or Choi
+    matrix is built, so memory stays O(k d^2) and every application is
+    sum_i K_i X K_i^dag. Any sequence or array of equal-shape matrices is
+    accepted. Complete positivity is automatic in Kraus form; trace
+    preservation (sum_i K_i^dag K_i = I) is verified at construction within
+    ``TOL_TP``.
     """
 
-    kraus: tuple
+    kraus: np.ndarray
 
     def __post_init__(self) -> None:
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        if not ops:
-            raise NotTracePreserving("a channel needs at least one Kraus operator")
-        shape = ops[0].shape
-        if len(shape) != 2 or any(k.shape != shape for k in ops):
-            raise DimensionMismatch("Kraus operators must share one 2-d shape")
-        dim_out, dim_in = shape
-        if not all(np.isfinite(k).all() for k in ops):
+        ops = _stack(
+            self.kraus,
+            "a channel needs at least one Kraus operator",
+            "Kraus operators must share one 2-d shape",
+        )
+        if not np.isfinite(ops).all():
             raise NonFinite("Kraus operators have non-finite entries")
-        s = sum(k.conj().T @ k for k in ops)
-        if float(np.max(np.abs(s - np.eye(dim_in)))) > TOL_TP:
+        flat = ops.reshape(-1, ops.shape[2])
+        if float(np.max(np.abs(flat.conj().T @ flat - np.eye(ops.shape[2])))) > TOL_TP:
             raise NotTracePreserving("Kraus set is not trace-preserving")
-        object.__setattr__(self, "kraus", tuple(_frozen(k) for k in ops))
+        object.__setattr__(self, "kraus", _frozen(ops))
 
     @property
     def dim_in(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.kraus.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         """sum_i K_i X K_i^dag for a raw (not necessarily normalized) matrix X."""
-        k = np.asarray(self.kraus)
+        k = self.kraus
         return np.sum(k @ np.asarray(mat, dtype=complex) @ k.conj().transpose(0, 2, 1), axis=0)
 
     def __call__(self, state: DensityMatrix) -> DensityMatrix:
@@ -224,37 +236,39 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class Povm:
-    """A positive operator-valued measure: PSD effects summing to the identity."""
+    """A positive operator-valued measure: PSD effects summing to the identity.
 
-    effects: tuple
+    The effects are one read-only (n, d, d) stack, validated once at
+    construction with each effect's Hermiticity judged at its own max-norm.
+    """
+
+    effects: np.ndarray
 
     def __post_init__(self) -> None:
-        ops = tuple(np.asarray(e, dtype=complex) for e in self.effects)
-        if not ops:
-            raise NotTracePreserving("a POVM needs at least one effect")
-        dim = ops[0].shape[0]
-        checked = []
-        for e in ops:
-            if e.shape != (dim, dim):
-                raise DimensionMismatch("POVM effects must share one square shape")
-            e = _check_hermitian(e, "POVM effect")
-            w = np.linalg.eigvalsh(e)
-            scale = max(float(np.max(np.abs(w))), 1.0)
-            if w[0] < -TOL_PSD * scale:
-                raise NotPositiveSemidefinite("POVM effect is not PSD")
-            checked.append(e)
-        s = sum(checked)
-        if float(np.max(np.abs(s - np.eye(dim)))) > TOL_TP:
+        shape_error = "POVM effects must share one square shape"
+        ops = _stack(self.effects, "a POVM needs at least one effect", shape_error)
+        if ops.shape[1] != ops.shape[2]:
+            raise DimensionMismatch(shape_error)
+        peak = np.max(np.abs(ops), axis=(1, 2))
+        if not np.isfinite(peak).all():
+            raise NonFinite("POVM effect has non-finite entries")
+        adj = ops.conj().transpose(0, 2, 1)
+        if (np.max(np.abs(ops - adj), axis=(1, 2)) > TOL_HERM * np.maximum(peak, 1.0)).any():
+            raise NonHermitian("POVM effect is not Hermitian within tolerance")
+        ops = 0.5 * (ops + adj)
+        w = np.linalg.eigvalsh(ops)
+        if (w[:, 0] < -TOL_PSD * np.maximum(np.max(np.abs(w), axis=1), 1.0)).any():
+            raise NotPositiveSemidefinite("POVM effect is not PSD")
+        if float(np.max(np.abs(ops.sum(axis=0) - np.eye(ops.shape[1])))) > TOL_TP:
             raise NotTracePreserving("POVM effects do not sum to the identity")
-        object.__setattr__(self, "effects", tuple(_frozen(e) for e in checked))
+        object.__setattr__(self, "effects", _frozen(ops))
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[1]
 
     def outcome_probabilities(self, state) -> np.ndarray:
-        m = _as_square(state)
-        p = np.array([float(np.real(np.trace(e @ m))) for e in self.effects])
+        p = np.einsum("nij,ji->n", self.effects, _as_square(state)).real
         return np.clip(p, 0.0, None)
 
 
@@ -417,36 +431,20 @@ def pure_pair_spectrum(psi, phi, gamma: float) -> PurePairSpectrum:
 # ---------------------------------------------------------------------------
 
 
-def _weyl_operators(dim: int):
-    omega = np.exp(2j * np.pi / dim)
-    shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
-    clock = np.diag(omega ** np.arange(dim))
-    ops = []
-    xa = np.eye(dim, dtype=complex)
-    for a in range(dim):
-        zb = np.eye(dim, dtype=complex)
-        for b in range(dim):
-            ops.append(xa @ zb)
-            zb = zb @ clock
-        xa = xa @ shift
-    return ops
-
-
 def depolarizing_channel(dim: int, p: float) -> KrausChannel:
     """Channel rho -> (1 - p) rho + (p / dim) I."""
     if dim < 2:
         raise DimensionMismatch(f"depolarizing channel needs dim >= 2, got {dim}")
     if not 0.0 <= p <= 1.0:
         raise InvalidProbability(f"mixing probability must be in [0, 1], got {p}")
-    d2 = dim * dim
-    kraus = []
-    lead = np.sqrt(max(1.0 - p + p / d2, 0.0))
-    weyl = _weyl_operators(dim)
-    kraus.append(lead * weyl[0])
-    if p > 0.0:
-        amp = np.sqrt(p) / dim
-        kraus.extend(amp * w for w in weyl[1:])
-    return KrausChannel(tuple(kraus))
+    # Weyl operators X^a Z^b, a-major: Z^b = diag(omega^(b j mod d)), and X^a rolls rows by a.
+    j = np.arange(dim)
+    z_powers = np.eye(dim) * np.exp(2j * np.pi / dim) ** (np.outer(j, j) % dim)[:, None, :]
+    a, b = np.divmod(np.arange(dim * dim if p > 0.0 else 1), dim)
+    kraus = z_powers[b[:, None], (j - a[:, None]) % dim]
+    kraus[0] *= np.sqrt(max(1.0 - p + p / (dim * dim), 0.0))
+    kraus[1:] *= np.sqrt(p) / dim
+    return KrausChannel(kraus)
 
 
 def measurement_channel_two_outcome(effect) -> KrausChannel:
@@ -460,18 +458,10 @@ def measurement_channel_two_outcome(effect) -> KrausChannel:
     if w[0] < -TOL_PSD or w[-1] > 1.0 + TOL_PSD:
         raise NotAnEffect(f"eigenvalues {w} are outside [0, 1]")
     w = np.clip(w, 0.0, 1.0)
-    kraus = []
-    e0 = np.zeros((2, 1), dtype=complex)
-    e0[0, 0] = 1.0
-    e1 = np.zeros((2, 1), dtype=complex)
-    e1[1, 0] = 1.0
-    for wi, vec in zip(w, v.T):
-        bra = vec.conj()[None, :]
-        if wi > 1e-14:
-            kraus.append(np.sqrt(wi) * (e0 @ bra))
-        if 1.0 - wi > 1e-14:
-            kraus.append(np.sqrt(1.0 - wi) * (e1 @ bra))
-    return KrausChannel(tuple(kraus))
+    # Eigenvector-major, outcome 0 before 1: sqrt(w_i) |0><v_i| and sqrt(1 - w_i) |1><v_i|.
+    weights = np.stack((w, 1.0 - w), axis=1)
+    readout = np.eye(2, dtype=complex)[:, :, None] @ v.T.conj()[:, None, None]  # |o><v_i|
+    return KrausChannel((np.sqrt(weights)[:, :, None, None] * readout)[weights > 1e-14])
 
 
 def replacement_channel(omega: DensityMatrix, dim_in: int | None = None) -> KrausChannel:
@@ -480,26 +470,24 @@ def replacement_channel(omega: DensityMatrix, dim_in: int | None = None) -> Krau
     dim_out = target.shape[0]
     dim_in = dim_out if dim_in is None else int(dim_in)
     w, v = np.linalg.eigh(hermitian_part(target))
-    kraus = []
-    for wi, vec in zip(np.clip(w, 0.0, None), v.T):
-        if wi <= 1e-14:
-            continue
-        for j in range(dim_in):
-            k = np.zeros((dim_out, dim_in), dtype=complex)
-            k[:, j] = np.sqrt(wi) * vec
-            kraus.append(k)
-    return KrausChannel(tuple(kraus))
+    w = np.clip(w, 0.0, None)
+    keep = w > 1e-14
+    # Eigenvector-major, then input column j: sqrt(w_i) |v_i><j|.
+    cols = np.arange(dim_in)
+    kraus = np.zeros((int(keep.sum()), dim_in, dim_out, dim_in), dtype=complex)
+    kraus[:, cols, :, cols] = (np.sqrt(w[keep]) * v[:, keep]).T
+    return KrausChannel(kraus.reshape(-1, dim_out, dim_in))
 
 
 def compose(after: KrausChannel, before: KrausChannel) -> KrausChannel:
-    """Sequential composition: (after o before), Kraus set {A_i B_j}."""
+    """Sequential composition: (after o before), Kraus set {A_i B_j}, A the outer index."""
     if after.dim_in != before.dim_out:
         raise DimensionMismatch(
             f"cannot compose: after.dim_in={after.dim_in} != "
             f"before.dim_out={before.dim_out}"
         )
-    kraus = tuple(a @ b for a in after.kraus for b in before.kraus)
-    return KrausChannel(kraus)
+    kraus = after.kraus[:, None] @ before.kraus[None]
+    return KrausChannel(kraus.reshape(-1, after.dim_out, before.dim_in))
 
 
 def apply(channel: KrausChannel, state: DensityMatrix) -> DensityMatrix:
@@ -572,8 +560,7 @@ def random_channel(dim_in: int, dim_out: int, kraus_count: int, seed=None) -> Kr
         size=(dim_out * kraus_count, dim_in)
     )
     q, _ = np.linalg.qr(g)
-    kraus = tuple(q[i * dim_out : (i + 1) * dim_out, :] for i in range(kraus_count))
-    return KrausChannel(kraus)
+    return KrausChannel(q.reshape(kraus_count, dim_out, dim_in))
 
 
 def random_orthogonal_pure_pair(dim: int, seed=None) -> tuple[PureState, PureState]:
@@ -623,8 +610,7 @@ def channel_to_dict(channel: KrausChannel) -> dict:
 def channel_from_dict(data: dict) -> KrausChannel:
     dim_in = int(data["dim_in"])
     dim_out = int(data["dim_out"])
-    kraus = tuple(_pairs_to_entries(k, dim_out, dim_in) for k in data["kraus"])
-    return KrausChannel(kraus)
+    return KrausChannel([_pairs_to_entries(k, dim_out, dim_in) for k in data["kraus"]])
 
 
 def save_state(state: DensityMatrix, path) -> None:

@@ -281,12 +281,10 @@ def test_ac9_applications():
     """Fairness certificates and Holevo stability for built mechanisms."""
     povm = qc.Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
     margins = []
-    for i, (eps, delta) in enumerate(((LN3, 0.0), (1.0, 0.1), (0.5, 0.3))):
+    for eps, delta in ((LN3, 0.0), (1.0, 0.1), (0.5, 0.3)):
         params = privacy.PrivacyParams(eps, delta)
         mech = privacy.build_eps_delta_mechanism(PROJ0, params)
-        holds, margin = app.fairness_certificate(
-            mech, povm, params, 0.4, pairs=500, seed=900 + i
-        )
+        holds, margin = app.fairness_certificate(mech, povm, params, 0.4)
         margins.append(margin)
         assert holds and margin >= 0.0, f"({eps}, {delta}): margin={margin!r}"
 

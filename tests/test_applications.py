@@ -83,9 +83,7 @@ class TestFairnessCertificate:
         """At (ln 3, 0) and radius 0.4 the certificate bound is 0.2."""
         params = privacy.PrivacyParams(LN3, 0.0)
         mech = privacy.build_qldp_mechanism(PROJ0, LN3)
-        holds, margin = app.fairness_certificate(
-            mech, QUBIT_POVM, params, 0.4, pairs=200, seed=4
-        )
+        holds, margin = app.fairness_certificate(mech, QUBIT_POVM, params, 0.4)
         assert holds
         assert margin >= 0.0
         assert 0.4 * 0.5 == pytest.approx(0.2)
@@ -93,18 +91,14 @@ class TestFairnessCertificate:
     def test_delta_one_is_vacuous_but_holds(self):
         params = privacy.PrivacyParams(0.5, 1.0)
         mech = privacy.build_eps_delta_mechanism(PROJ0, params)
-        holds, margin = app.fairness_certificate(
-            mech, QUBIT_POVM, params, 0.3, pairs=100, seed=5
-        )
+        holds, margin = app.fairness_certificate(mech, QUBIT_POVM, params, 0.3)
         assert holds
         assert margin >= 0.0
 
     def test_replacement_channel_trivially_fair(self):
         params = privacy.PrivacyParams(0.0, 0.0)
         chan = qc.replacement_channel(qc.DensityMatrix(np.eye(2) / 2))
-        holds, margin = app.fairness_certificate(
-            chan, QUBIT_POVM, params, 0.5, pairs=100, seed=6
-        )
+        holds, margin = app.fairness_certificate(chan, QUBIT_POVM, params, 0.5)
         assert holds
         assert margin == pytest.approx(0.0, abs=1e-12)
 
@@ -150,12 +144,6 @@ class TestFairnessCertificateExact:
                 t = dv.trace_distance(qc.DensityMatrix(a), qc.DensityMatrix(b))
                 b = a + min(1.0, alpha / t) * (b - a)
                 assert app.fairness_distance(chan, povm, a, b) <= distance + 1e-12
-
-    def test_pairs_and_seed_are_unused(self):
-        params = privacy.PrivacyParams(1.0)
-        chan = qc.random_channel(2, 2, 2, seed=30)
-        plain = app.fairness_certificate(chan, QUBIT_POVM, params, 0.2)
-        assert app.fairness_certificate(chan, QUBIT_POVM, params, 0.2, pairs=7, seed=8) == plain
 
 
 class TestHolevoInformation:

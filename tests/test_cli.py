@@ -253,6 +253,30 @@ class TestHostileInput:
         code, text = run_cli(["divergence", "trace", bad, state_files[1]], capsys)
         assert code == 2 and text.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv, data",
+        [
+            (["certify", "{}", "--epsilon", "1"], '{"dim_in": 1e999, "dim_out": 2, "kraus": []}'),
+            (["divergence", "trace", "{}", "{}"], '{"dim": 1e999, "entries": []}'),
+        ],
+        ids=["certify", "divergence"],
+    )
+    def test_overflowing_dimension_exits_two(self, tmp_path, argv, data):
+        """int(inf) raises OverflowError; it is a parse error, not a finding (exit 1)."""
+        path = tmp_path / "overflow.json"
+        path.write_text(data)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpriv.cli", *(str(path) if a == "{}" else a for a in argv)],
+            capture_output=True, text=True, env=_env_with_src(), timeout=120,
+        )
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+    def test_empty_kraus_set_exits_three(self, tmp_path, capsys):
+        bad = write_json(tmp_path / "empty.json", {"dim_in": 2, "dim_out": 2, "kraus": []})
+        code, text = run_cli(["certify", bad, "--epsilon", "1"], capsys)
+        assert code == 3 and text.startswith("error: ")
+
     @pytest.mark.parametrize("item", ["tol_scan=abc", "tol_scan", "tol_sacn=5"])
     def test_unparsable_tolerance_exits_two(self, tmp_path, item, capsys):
         out = str(tmp_path / "t")

@@ -279,6 +279,165 @@ class TestKrausApply:
         assert peak < 16 * 2**20
 
 
+def _ref_weyl(dim):
+    """X^a Z^b for a, b < dim, a-major, by repeated products: the loop builder kept as reference."""
+    omega = np.exp(2j * np.pi / dim)
+    shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
+    clock = np.diag(omega ** np.arange(dim))
+    ops = []
+    xa = np.eye(dim, dtype=complex)
+    for _ in range(dim):
+        zb = np.eye(dim, dtype=complex)
+        for _ in range(dim):
+            ops.append(xa @ zb)
+            zb = zb @ clock
+        xa = xa @ shift
+    return ops
+
+
+def _ref_depolarizing(dim, p):
+    weyl = _ref_weyl(dim)
+    kraus = [np.sqrt(max(1.0 - p + p / dim**2, 0.0)) * weyl[0]]
+    if p > 0.0:
+        kraus.extend(np.sqrt(p) / dim * w for w in weyl[1:])
+    return np.stack(kraus)
+
+
+def _ref_measurement(effect):
+    w, v = np.linalg.eigh(0.5 * (effect + effect.conj().T))
+    e0, e1 = np.eye(2, dtype=complex)[:, :1], np.eye(2, dtype=complex)[:, 1:]
+    kraus = []
+    for wi, vec in zip(np.clip(w, 0.0, 1.0), v.T):
+        bra = vec.conj()[None, :]
+        if wi > 1e-14:
+            kraus.append(np.sqrt(wi) * (e0 @ bra))
+        if 1.0 - wi > 1e-14:
+            kraus.append(np.sqrt(1.0 - wi) * (e1 @ bra))
+    return np.stack(kraus)
+
+
+def _ref_replacement(target, dim_in):
+    w, v = np.linalg.eigh(0.5 * (target + target.conj().T))
+    kraus = []
+    for wi, vec in zip(np.clip(w, 0.0, None), v.T):
+        if wi <= 1e-14:
+            continue
+        for j in range(dim_in):
+            k = np.zeros((target.shape[0], dim_in), dtype=complex)
+            k[:, j] = np.sqrt(wi) * vec
+            kraus.append(k)
+    return np.stack(kraus)
+
+
+def _assert_frozen_stack(stack, shape):
+    assert isinstance(stack, np.ndarray) and stack.shape == shape and stack.dtype == complex
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 5.0
+
+
+class TestOperatorStacks:
+    """A channel is one (k, d_out, d_in) Kraus stack and a POVM one (n, d, d) effect stack."""
+
+    @pytest.mark.parametrize("wrap", [tuple, list, np.array])
+    def test_any_sequence_becomes_one_frozen_stack(self, wrap):
+        ops = qc.random_channel(3, 2, 4, seed=1).kraus.copy()
+        chan = qc.KrausChannel(wrap(list(ops)))
+        _assert_frozen_stack(chan.kraus, (4, 2, 3))
+        assert (chan.dim_in, chan.dim_out) == (3, 2)
+        assert chan.kraus.tobytes() == ops.tobytes()
+        effects = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])]
+        povm = qc.Povm(wrap(effects))
+        _assert_frozen_stack(povm.effects, (3, 3, 3))
+        assert povm.dim == 3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_compose_matches_loop_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        before = qc.random_channel(4, 3, 2, rng)
+        after = qc.random_channel(3, 2, 3, rng)
+        oracle = np.stack([a @ b for a in after.kraus for b in before.kraus])
+        np.testing.assert_array_equal(qc.compose(after, before).kraus, oracle)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_measurement_and_replacement_match_loop_builders_bytewise(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        effects = [np.diag([1.0] + [0.0] * (dim - 1)), np.eye(dim) / 2, np.zeros((dim, dim))]
+        for _ in range(3):
+            m = qc.random_density_matrix(dim, seed=rng).entries
+            effects += [m, m / np.linalg.eigvalsh(m)[-1]]
+        for effect in effects:
+            built = qc.measurement_channel_two_outcome(effect).kraus
+            assert built.tobytes() == _ref_measurement(effect).tobytes()
+        for rank in range(1, dim + 1):
+            target = qc.random_density_matrix(dim, rank, rng)
+            for dim_in in (None, 1, 3):
+                built = qc.replacement_channel(target, dim_in).kraus
+                ref = _ref_replacement(target.entries, dim if dim_in is None else dim_in)
+                assert built.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_depolarizing_matches_loop_builder(self, p):
+        """Bytewise at d = 2; at d >= 3 the phases are exact powers, not repeated products."""
+        assert qc.depolarizing_channel(2, p).kraus.tobytes() == _ref_depolarizing(2, p).tobytes()
+        for dim in (3, 4, 8):
+            np.testing.assert_allclose(
+                qc.depolarizing_channel(dim, p).kraus, _ref_depolarizing(dim, p), rtol=0, atol=1e-15
+            )
+
+    @pytest.mark.parametrize("empty", [(), [], np.empty((0, 2, 2))])
+    def test_empty_sets_are_not_trace_preserving(self, empty):
+        with pytest.raises(errors.NotTracePreserving):
+            qc.KrausChannel(empty)
+        with pytest.raises(errors.NotTracePreserving):
+            qc.Povm(empty)
+
+    @pytest.mark.parametrize(
+        "ops", [(np.eye(2), np.eye(3)), (np.eye(2), np.ones(2)), (np.eye(2),) * 2 + ([[1.0]],)]
+    )
+    def test_ragged_sets_are_dimension_mismatches(self, ops):
+        with pytest.raises(errors.DimensionMismatch):
+            qc.KrausChannel(ops)
+        with pytest.raises(errors.DimensionMismatch):
+            qc.Povm(ops)
+
+    @pytest.mark.parametrize(
+        "ops", [np.eye(2), np.eye(2)[None, None], np.zeros((1, 2, 0)), np.zeros((1, 0, 0))]
+    )
+    def test_sets_that_are_not_stacks_of_matrices_are_dimension_mismatches(self, ops):
+        with pytest.raises(errors.DimensionMismatch):
+            qc.KrausChannel(ops)
+        with pytest.raises(errors.DimensionMismatch):
+            qc.Povm(ops)
+
+    def test_non_square_effects_are_dimension_mismatches(self):
+        with pytest.raises(errors.DimensionMismatch):
+            qc.Povm([np.eye(2, 3)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_povm_rejected(self, bad):
+        with pytest.raises(errors.NonFinite):
+            qc.Povm((np.diag([1.0, bad]), np.diag([0.0, 1.0])))
+
+    def test_povm_checks_each_effect_at_its_own_scale(self):
+        """An asymmetry of 3e-9 is within tolerance of an effect of norm 5, not of norm 1."""
+        skew = np.array([[0.0, 3e-9], [0.0, 0.0]])
+        with pytest.raises(errors.NotTracePreserving):  # Hermitian enough; the sum is wrong
+            qc.Povm((np.diag([5.0, 0.0]) + skew, np.diag([0.0, 1.0])))
+        with pytest.raises(errors.NonHermitian):
+            qc.Povm((np.diag([5.0, 0.0]) + skew, np.diag([0.0, 1.0]) + skew))
+        with pytest.raises(errors.NotPositiveSemidefinite):
+            qc.Povm((np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])))
+
+    def test_outcome_probabilities_match_traces(self):
+        rng = np.random.default_rng(5)
+        raw = [np.outer(v, v.conj()) for v in np.linalg.qr(rng.normal(size=(3, 3)))[0].T]
+        povm = qc.Povm(raw)
+        rho = qc.random_density_matrix(3, seed=rng).entries
+        oracle = [np.trace(e @ rho).real for e in raw]
+        np.testing.assert_allclose(povm.outcome_probabilities(rho), oracle, rtol=0, atol=1e-15)
+
+
 class TestRandomEnsembles:
     def test_dim_one_pure_state(self):
         state = qc.random_pure_state(1, seed=0)
